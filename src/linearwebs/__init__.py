@@ -5,14 +5,14 @@ codimension two on a 2n-dimensional chart.  This package builds such webs
 in exact rational arithmetic and provides the verdict machinery around
 them: the forced abelian relation and its relation space, the general
 position audit, the almost-Grassmann compatibility test with exact
-witnesses, parallelizability flags, parameter-family surveys, and an
+witnesses, parallelizability, parameter-family surveys, and an
 audit of three bundled reference examples against their published claims.
 """
 
 from .ratlin import (Rational, RatMatrix, ShapeError, SingularMatrixError,
                      format_rational, rational)
 from .forms import (Chart, ChartMismatchError, Independence, OneForm, TwoForm,
-                    independent, two_form_vector, wedge)
+                    independent, wedge)
 from .webmodel import (AuditReport, ClosedFormEquations, DegenerateBlock,
                        LinearWeb, WebConstructionError, build_web, closed_form,
                        general_position_audit, parse_closed_form)
@@ -25,8 +25,7 @@ from .agw import (AgwReport, Condition7Result, MinorWitness, affinor_comparison,
                   literal_det, proportionality_minors)
 from .parallel import ParallelReport, parallelizability_report
 from .families import (FamilySpec, SampleRecord, SurveyStats, derive_seed,
-                       example_web, general_n_web, sample_family,
-                       sample_matrix, survey)
+                       example_web, sample_family, sample_matrix, survey)
 from .analysis import (AnalysisBundle, CheckResult, CompatNote,
                        ReferenceAuditReport, analyze, reference_audit)
 
@@ -36,7 +35,7 @@ __all__ = [
     "Rational", "RatMatrix", "ShapeError", "SingularMatrixError",
     "format_rational", "rational",
     "Chart", "ChartMismatchError", "Independence", "OneForm", "TwoForm",
-    "independent", "two_form_vector", "wedge",
+    "independent", "wedge",
     "AuditReport", "ClosedFormEquations", "DegenerateBlock", "LinearWeb",
     "WebConstructionError", "build_web", "closed_form",
     "general_position_audit", "parse_closed_form",
@@ -48,7 +47,7 @@ __all__ = [
     "literal_det", "proportionality_minors",
     "ParallelReport", "parallelizability_report",
     "FamilySpec", "SampleRecord", "SurveyStats", "derive_seed", "example_web",
-    "general_n_web", "sample_family", "sample_matrix", "survey",
+    "sample_family", "sample_matrix", "survey",
     "AnalysisBundle", "CheckResult", "CompatNote", "ReferenceAuditReport",
     "analyze", "reference_audit",
     "__version__",

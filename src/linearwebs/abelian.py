@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .forms import TwoForm, two_form_vector, wedge
+from .forms import TwoForm, wedge
 from .ratlin import RatMatrix, format_rational, rational
 from .webmodel import LinearWeb
 
@@ -79,7 +79,7 @@ def relation_space(web: LinearWeb) -> RankReport:
     flagged as an anomaly (it only occurs for webs that also fail the
     general position audit).
     """
-    columns = [two_form_vector(omega) for omega in normals(web)]
+    columns = [omega.coeffs for omega in normals(web)]
     stacked = RatMatrix(zip(*columns))
     basis = stacked.kernel_basis()
     dimension = len(basis)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .coframe import AffinorTable, adapted_coframe, basis_affinors, expand_foliation
+from .coframe import AffinorTable
 from .ratlin import RatMatrix, format_rational
 from .webmodel import LinearWeb, build_web
 
@@ -147,8 +147,7 @@ class AgwReport:
 
 def proportionality_minors(web: LinearWeb, a: int) -> list:
     """All (beta, gamma, u_b v_g - u_g v_b) for one upper foliation, gauge path."""
-    cof = adapted_coframe(web)
-    u, v = expand_foliation(web, cof, a)
+    u, v = web.coframe.expansion(a)
     n = web.n
     return [(b + 1, g + 1, u[b] * v[g] - u[g] * v[b])
             for b in range(n) for g in range(b + 1, n)]
@@ -177,7 +176,7 @@ def agw_test(web: LinearWeb) -> AgwReport:
     compatible by construction).
     """
     n = web.n
-    cof = adapted_coframe(web)
+    cof = web.coframe
     path = "coframe" if cof.is_valid else "cleared"
     witnesses = []
     unobstructed = []
@@ -198,7 +197,6 @@ def agw_test(web: LinearWeb) -> AgwReport:
     literal = None
     if n == 3:
         literal = {form: literal_det(web, form) for form in LITERAL_DET_FORMS}
-    table = basis_affinors(web)
     return AgwReport(
         n=n,
         verdict=verdict,
@@ -207,7 +205,7 @@ def agw_test(web: LinearWeb) -> AgwReport:
         witnesses=tuple(witnesses),
         unobstructed_foliations=tuple(unobstructed),
         literal_dets=literal,
-        condition7=condition7_residual(table),
+        condition7=condition7_residual(web.affinors),
     )
 
 
@@ -299,7 +297,7 @@ def affinor_comparison(web: LinearWeb) -> tuple:
     """Compare every derived affinor scalar against its published formula (n = 3)."""
     if web.n != 3:
         raise ValueError("comparison table is specific to n = 3")
-    table = basis_affinors(web)
+    table = web.affinors
     out = []
     for a in (5, 6):
         for ahat in (1, 2):
@@ -421,7 +419,7 @@ def agw_search(n: int = 3, entry_bound: int = 9, budget: int = 500,
             if report.verdict != AGW:
                 continue
             if require_defined_scalars:
-                table = basis_affinors(web)
+                table = web.affinors
                 if not (table.gauge_status == "valid" and table.fully_defined
                         and table.all_consistent):
                     continue

@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .abelian import RankReport, abelian_residual, relation_space
-from .agw import (NOT_AGW, AgwReport, affinor_comparison, agw_test,
-                  literal_det)
+from .agw import NOT_AGW, AgwReport, affinor_comparison, agw_test
 from .parallel import ParallelReport, parallelizability_report
 from .published import (CLAIMED_FAMILY, CLAIMED_LEFT_DET, EXAMPLE_KEYS,
                         EXAMPLE_MATRICES, PRINTED_CLOSED_FORMS)
@@ -267,7 +266,8 @@ def _example_checks(key: int, bundle: AnalysisBundle) -> tuple:
          f"{format_rational(witness.value)}" if witness else "no witness found")))
 
     checks.append(CheckResult(
-        "parallelizable", "derived", bundle.parallelizability.all_flags,
+        "parallelizable", "derived",
+        bundle.parallelizability.verdict == "parallelizable",
         "all four flags true"))
 
     mismatch_lines = _closed_form_comparison(key, bundle.closed_form)
@@ -276,7 +276,7 @@ def _example_checks(key: int, bundle: AnalysisBundle) -> tuple:
         "all printed lines reproduced" if not mismatch_lines
         else "; ".join(mismatch_lines)))
 
-    computed = literal_det(web, "left")
+    computed = agw_report.literal_dets["left"]
     claimed = Fraction(CLAIMED_LEFT_DET[key])
     checks.append(CheckResult(
         "claimed left determinant", "literal", computed == claimed,

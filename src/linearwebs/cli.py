@@ -58,8 +58,10 @@ def _load_matrix(path: str) -> RatMatrix:
                                      or len(data) != stated_n):
             raise _UsageError(f"matrix in {path} does not have the stated "
                               f"order n={stated_n}")
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise _UsageError(f"malformed matrix in {path}: expected an array of arrays")
     try:
-        return RatMatrix.from_json(data)
+        return RatMatrix(data)
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"malformed matrix in {path}: {exc}") from exc
 
@@ -69,6 +71,16 @@ def _parse_csv(text: str, path: str):
     if not rows:
         raise _UsageError(f"{path} is neither JSON nor CSV matrix data")
     return [[token.strip() for token in row] for row in rows]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
+    return value
 
 
 def _emit(payload_text: str, payload_json, args) -> None:
@@ -154,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=9,
                    help="entry box half-width for sampling")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker threads; results are identical at any level")
     common(p)
     p.set_defaults(func=_cmd_survey)

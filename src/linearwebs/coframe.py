@@ -22,13 +22,15 @@ ahat in {1 .. n-1}; they depend on A alone, never on a chart point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .forms import OneForm
 from .ratlin import format_rational
-from .webmodel import LinearWeb
+
+if TYPE_CHECKING:
+    from .webmodel import LinearWeb
 
 __all__ = [
     "AdaptedCoframe",
@@ -55,10 +57,16 @@ class AdaptedCoframe:
     omega_x: Optional[tuple]  # omega_a^1 for a = 1..n, when valid
     omega_y: Optional[tuple]  # omega_a^2 for a = 1..n, when valid
     top_pair: Optional[tuple]  # (dx^{n+1}, dy_{n+1}) raw forms, when valid
+    expansions: tuple = ()  # (u, v) for a = n+2..2n, when valid
 
     @property
     def is_valid(self) -> bool:
         return self.status == "valid"
+
+    def expansion(self, a: int) -> tuple:
+        """(u, v) of upper foliation a, as :func:`expand_foliation` derived it."""
+        _require_upper(self, a)
+        return self.expansions[a - self.n - 2]
 
     def to_dict(self) -> dict:
         out = {"n": self.n, "status": self.status}
@@ -83,7 +91,7 @@ def _gauge_zeros(web: LinearWeb) -> tuple:
 
 
 def adapted_coframe(web: LinearWeb) -> AdaptedCoframe:
-    """Build the gauge-fixed coframe; degeneracy is a status, not a failure."""
+    """Build the coframe and its expansions; degeneracy is a status, not a failure."""
     n = web.n
     vanishing = _gauge_zeros(web)
     if vanishing:
@@ -95,7 +103,8 @@ def adapted_coframe(web: LinearWeb) -> AdaptedCoframe:
     cof = AdaptedCoframe(n=n, status="valid", vanishing=(),
                          omega_x=omega_x, omega_y=omega_y, top_pair=top)
     _check_sum_identity(cof)
-    return cof
+    return replace(cof, expansions=tuple(
+        expand_foliation(web, cof, a) for a in range(n + 2, 2 * n + 1)))
 
 
 def _check_sum_identity(cof: AdaptedCoframe) -> None:
@@ -120,16 +129,20 @@ def expand_foliation(web: LinearWeb, cof: AdaptedCoframe, a: int) -> tuple:
     re-checked exactly before returning.
     """
     n = web.n
-    if not cof.is_valid:
-        raise CoframeDegenerateError(
-            "coframe is degenerate: " + ", ".join(cof.vanishing) + " vanish")
-    if not n + 2 <= a <= 2 * n:
-        raise ValueError(f"foliation index {a} outside {n + 2}..{2 * n}")
+    _require_upper(cof, a)
     c = a - n
     u = tuple(web.A[b, c - 1] / web.A[b, 0] for b in range(n))
     v = tuple(web.B[c - 1, b] / web.B[0, b] for b in range(n))
     _check_expansion(web, cof, a, u, v)
     return u, v
+
+
+def _require_upper(cof: AdaptedCoframe, a: int) -> None:
+    if not cof.is_valid:
+        raise CoframeDegenerateError(
+            "coframe is degenerate: " + ", ".join(cof.vanishing) + " vanish")
+    if not cof.n + 2 <= a <= 2 * cof.n:
+        raise ValueError(f"foliation index {a} outside {cof.n + 2}..{2 * cof.n}")
 
 
 def _check_expansion(web, cof, a, u, v) -> None:
@@ -211,7 +224,7 @@ def basis_affinors(web: LinearWeb) -> AffinorTable:
     formulas lives in :func:`linearwebs.agw.affinor_comparison`.
     """
     n = web.n
-    cof = adapted_coframe(web)
+    cof = web.coframe
     entries = []
     if not cof.is_valid:
         note = "paper-gauge degenerate: " + ", ".join(cof.vanishing)
@@ -219,8 +232,7 @@ def basis_affinors(web: LinearWeb) -> AffinorTable:
             for ahat in range(1, n):
                 entries.append(AffinorEntry(a=a, ahat=ahat, x=None, y=None, note=note))
         return AffinorTable(n=n, gauge_status="degenerate", entries=tuple(entries))
-    for a in range(n + 2, 2 * n + 1):
-        u, v = expand_foliation(web, cof, a)
+    for a, (u, v) in zip(range(n + 2, 2 * n + 1), cof.expansions):
         for ahat in range(1, n):
             x = u[ahat - 1] / u[n - 1] if u[n - 1] != 0 else None
             y = v[ahat - 1] / v[n - 1] if v[n - 1] != 0 else None

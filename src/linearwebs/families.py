@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import relation_space
-from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test, literal_det
+from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test
 from .published import EXAMPLE_MATRICES
 from .ratlin import RatMatrix
 from .webmodel import LinearWeb, build_web, general_position_audit
@@ -35,7 +35,6 @@ __all__ = [
     "sample_matrix",
     "sample_family",
     "survey",
-    "general_n_web",
     "derive_seed",
 ]
 
@@ -104,11 +103,6 @@ def sample_matrix(spec: FamilySpec, seed: int) -> RatMatrix:
 
 def sample_family(spec: FamilySpec, seed: int) -> LinearWeb:
     return build_web(sample_matrix(spec, seed))
-
-
-def general_n_web(A: RatMatrix) -> LinearWeb:
-    """The same construction for an arbitrary order n (alias of build_web)."""
-    return build_web(A)
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ def _survey_one(spec: FamilySpec, seed: int, index: int) -> dict:
     rank = relation_space(web)
     left_zero = None
     if spec.n == 3:
-        left_zero = literal_det(web, "left") == 0
+        left_zero = agw_report.literal_dets["left"] == 0
     return {
         "index": index,
         "verdict": agw_report.verdict,

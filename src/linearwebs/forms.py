@@ -26,7 +26,6 @@ __all__ = [
     "Independence",
     "wedge",
     "independent",
-    "two_form_vector",
 ]
 
 
@@ -237,8 +236,3 @@ def independent(forms: Sequence[OneForm]) -> Independence:
     if not kernel:
         return Independence(True)
     return Independence(False, kernel[0])
-
-
-def two_form_vector(w: TwoForm) -> tuple:
-    """The coefficient vector in the fixed ordered-pair basis."""
-    return w.coeffs

@@ -45,13 +45,20 @@ def rational(value) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational.
 
     Floats are rejected: every quantity in this library must be exact.
+    Booleans are rejected too, although ``bool`` subclasses ``int``, and a
+    zero denominator is a ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError("cannot coerce bool to an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
 
 
@@ -79,13 +86,6 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_json(cls, data) -> "RatMatrix":
-        """Build from a JSON-style array of arrays of ints or "p/q" strings."""
-        if not isinstance(data, (list, tuple)):
-            raise ShapeError("expected an array of arrays")
-        return cls(data)
 
     def to_json(self) -> list:
         return [[format_rational(x) for x in row] for row in self._grid]

@@ -17,9 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
+from .coframe import AdaptedCoframe, AffinorTable, adapted_coframe, basis_affinors
 from .forms import Chart, Independence, OneForm, independent
 from .ratlin import RatMatrix, SingularMatrixError, format_rational, rational
 
@@ -77,12 +79,15 @@ class LinearWeb:
     def foliation_pair(self, xi: int) -> tuple:
         return self.dx(xi), self.dy(xi)
 
-    def has_constant_coefficients(self) -> bool:
-        """Every generated form carries exact rational constants (structural)."""
-        return all(isinstance(c, Fraction)
-                   for xi in range(1, 2 * self.n + 1)
-                   for form in self.foliation_pair(xi)
-                   for c in form.coeffs)
+    @cached_property
+    def coframe(self) -> AdaptedCoframe:
+        """The adapted coframe and its expansions, derived once per web."""
+        return adapted_coframe(self)
+
+    @cached_property
+    def affinors(self) -> AffinorTable:
+        """The basis-affinor table, derived once per web from :attr:`coframe`."""
+        return basis_affinors(self)
 
     def _check_index(self, xi: int) -> None:
         if not 1 <= xi <= 2 * self.n:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from linearwebs import (RatMatrix, abelian_residual, build_web, example_web,
-                        normals, relation_space, two_form_vector, wedge)
+                        normals, relation_space, wedge)
 
 from oracles import kernel as kernel_oracle, rank as rank_oracle
 
@@ -69,7 +69,7 @@ class TestRelationSpace:
 
     def test_stacked_kernel_matches_oracle(self):
         web = example_web(2)
-        columns = [two_form_vector(om) for om in normals(web)]
+        columns = [om.coeffs for om in normals(web)]
         grid = [[columns[j][i] for j in range(6)] for i in range(15)]
         oracle_basis = kernel_oracle(grid)
         assert len(oracle_basis) == 1
@@ -96,7 +96,7 @@ class TestRelationSpace:
         for _ in range(30):
             web = rand_web(rng, 3)
             report = relation_space(web)
-            columns = [two_form_vector(om) for om in normals(web)]
+            columns = [om.coeffs for om in normals(web)]
             grid = [[columns[j][i] for j in range(6)] for i in range(15)]
             assert report.dimension == 6 - rank_oracle(grid)
 

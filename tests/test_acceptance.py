@@ -189,15 +189,16 @@ def test_criterion_06_literal_determinant_claims():
 
 
 def test_criterion_07_parallelizability():
-    """All four flags true on the examples and 100 random webs, n in 2..4."""
+    """Verdict parallelizable on the examples and 100 random webs, n in 2..4."""
     t0 = time.time()
-    ok = all(parallelizability_report(example_web(k)).all_flags for k in (1, 2, 3))
+    ok = all(parallelizability_report(example_web(k)).verdict == "parallelizable"
+             for k in (1, 2, 3))
     count = 0
     for n, quota in ((2, 34), (3, 33), (4, 33)):
         spec = FamilySpec("generic", n=n)
         for i in range(quota):
             web = build_web(sample_matrix(spec, derive_seed(707, n, i)))
-            ok = ok and parallelizability_report(web).all_flags
+            ok = ok and parallelizability_report(web).verdict == "parallelizable"
             count += 1
     _line(7, ok, f"examples 1-3 and {count} random webs all parallelizable", t0)
     assert ok

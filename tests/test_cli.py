@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linearwebs.cli import main
+from linearwebs.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -156,3 +156,32 @@ def test_survey_bad_order_for_named_family_exits_2(capsys):
     code, _, err = run(capsys, "survey", "--family", "B8", "--n", "4",
                        "--count", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", ['"1"', "5"])
+def test_non_array_matrix_exits_2(matrix_file, capsys, raw):
+    code, _, err = run(capsys, "analyze", matrix_file(None, raw=raw))
+    assert code == 2
+    assert err.count("\n") == 1 and "array of arrays" in err
+
+
+def test_zero_denominator_exits_2(matrix_file, capsys):
+    code, _, err = run(capsys, "analyze", matrix_file([[1, "1/0"], [0, 1]]))
+    assert code == 2
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
+def test_boolean_entry_exits_2(matrix_file, capsys):
+    code, _, err = run(capsys, "analyze", matrix_file([[True, 0], [0, 1]]))
+    assert code == 2
+    assert err.count("\n") == 1 and "bool" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+def test_survey_jobs_below_one_rejected(capsys, jobs):
+    parser = _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["survey", "--count", "5", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert parser.parse_args(["survey", "--count", "5", "--jobs", "1"]).jobs == 1
