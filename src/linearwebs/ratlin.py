@@ -3,7 +3,8 @@
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always
 reduced, positive denominator), re-exported as ``Rational``.  ``RatMatrix``
 is an immutable dense grid of such scalars with exact elimination-based
-determinants, inverses, ranks, minors and kernel bases.  Everything here is
+determinants, inverses, ranks, minors and kernel bases, and a table of all
+square minors by integer Laplace expansion.  Everything here is
 deterministic: pivoting always picks the first nonzero entry in row order,
 so repeated runs produce identical kernel bases.
 """
@@ -11,6 +12,8 @@ so repeated runs produce identical kernel bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -273,6 +276,45 @@ class RatMatrix:
         if len(row_subset) != len(col_subset):
             raise ShapeError("row and column subsets must have equal size")
         return self.submatrix(row_subset, col_subset).det()
+
+    def minor_table(self) -> dict:
+        """Every square minor, keyed by ``(rows, cols)`` tuples (0-based, ascending).
+
+        The empty minor ``((), ())`` is 1.  Each row is first scaled by the
+        lcm of its denominators, so the work is integer-only; the order-k
+        minors follow from the order-(k-1) ones by Laplace expansion along
+        the first row of each row set, sum_k k*C(rows,k)*C(cols,k) integer
+        multiplies in all.  Each entry is divided back by the product of its
+        rows' scale factors, so the table holds the exact minors.
+        """
+        scales = [lcm(*(x.denominator for x in row)) for row in self._grid]
+        grid = [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(self._grid, scales)]
+        table = {((), ()): Fraction(1)}
+        # row set -> its order-(k-1) minors, one per column set in prev_cols order
+        prev, prev_cols = {(): [1]}, {(): 0}
+        for k in range(1, min(self.rows, self.cols) + 1):
+            col_sets = list(combinations(range(self.cols), k))
+            # expansion terms of each column set: (column, odd position, sub-minor index)
+            plans = [[(j, t & 1, prev_cols[cols[:t] + cols[t + 1:]])
+                      for t, j in enumerate(cols)] for cols in col_sets]
+            level = {}
+            for rows in combinations(range(self.rows), k):
+                top, sub = grid[rows[0]], prev[rows[1:]]
+                values = []
+                for plan in plans:
+                    total = 0
+                    for j, odd, at in plan:
+                        if top[j]:
+                            term = top[j] * sub[at]
+                            total = total - term if odd else total + term
+                    values.append(total)
+                level[rows] = values
+                scale = prod(scales[i] for i in rows)
+                table.update(((rows, cols), Fraction(value, scale))
+                             for cols, value in zip(col_sets, values))
+            prev, prev_cols = level, {cols: i for i, cols in enumerate(col_sets)}
+        return table
 
     # -- internal ------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .coframe import AdaptedCoframe, AffinorTable, adapted_coframe, basis_affinors
-from .forms import Chart, Independence, OneForm, independent
+from .forms import Chart, OneForm, independent
 from .ratlin import RatMatrix, SingularMatrixError, format_rational, rational
 
 __all__ = [
@@ -83,6 +83,11 @@ class LinearWeb:
     def coframe(self) -> AdaptedCoframe:
         """The adapted coframe and its expansions, derived once per web."""
         return adapted_coframe(self)
+
+    @cached_property
+    def minors(self) -> dict:
+        """Every square minor of A (:meth:`RatMatrix.minor_table`), derived once per web."""
+        return self.A.minor_table()
 
     @cached_property
     def affinors(self) -> AffinorTable:
@@ -307,14 +312,28 @@ class AuditReport:
 
 
 def _block_failures(web: LinearWeb, size: int) -> tuple:
-    failures = []
+    """Failed blocks among the size-subsets, decided by the minors of A.
+
+    With S_lo the lower and S_hi the upper foliations of a subset (as
+    0-based rows and columns of A), Laplace expansion against the identity
+    block of [I | A] gives: the x-block is independent exactly when some
+    minor A[R, S_hi] with R outside S_lo is nonzero, the y-block exactly
+    when some minor A[S_lo, C] with C outside S_hi is.  Only a failed block
+    is row-reduced, to produce its dependency.
+    """
     n = web.n
-    dx = {xi: web.dx(xi) for xi in range(1, 2 * n + 1)}
-    dy = {xi: web.dy(xi) for xi in range(1, 2 * n + 1)}
+    minors = web.minors
+    failures = []
     for subset in combinations(range(1, 2 * n + 1), size):
-        for block, forms in (("x", dx), ("y", dy)):
-            check: Independence = independent([forms[xi] for xi in subset])
-            if not check:
+        lo = tuple(xi - 1 for xi in subset if xi <= n)
+        hi = tuple(xi - n - 1 for xi in subset if xi > n)
+        free_rows = [i for i in range(n) if i not in lo]
+        free_cols = [j for j in range(n) if j not in hi]
+        x_minors = (minors[rows, hi] for rows in combinations(free_rows, len(hi)))
+        y_minors = (minors[lo, cols] for cols in combinations(free_cols, len(lo)))
+        for block, form, block_minors in (("x", web.dx, x_minors), ("y", web.dy, y_minors)):
+            if not any(block_minors):
+                check = independent([form(xi) for xi in subset])
                 failures.append(DegenerateBlock(subset, block, check.dependency))
     return tuple(failures)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linearwebs.cli import _build_parser, main
+from linearwebs.cli import MAX_ORDER, _build_parser, main
 
 
 @pytest.fixture
@@ -185,3 +185,49 @@ def test_survey_jobs_below_one_rejected(capsys, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert parser.parse_args(["survey", "--count", "5", "--jobs", "1"]).jobs == 1
+
+
+MALFORMED_MATRIX_FILES = {
+    "binary": b"\xff\xfe\x00\x81matrix\x9c",
+    "empty": b"",
+    "empty-array": b"[]",
+    "empty-row": b"[[]]",
+    "ragged": b"[[1, 2], [3]]",
+    "nested": b"[[[1, 0], [0, 1]]]",
+    "deeply-nested": b"[" * 100000 + b"]" * 100000,
+    "null-entry": b"[[null, 1], [1, 0]]",
+    "float-entry": b"[[1.5, 1], [1, 0]]",
+    "non-numeric-entry": b'[["one", 1], [1, 0]]',
+    "integer-past-digit-limit": b"[[1" + b"0" * 5000 + b"]]",
+    "csv-field-past-size-limit": b"a" * 200000,
+    "object-without-A": b'{"n": 2, "B": [[1, 0], [0, 1]]}',
+    "object-string-n": b'{"n": "2", "A": [[1, 0], [0, 1]]}',
+    "object-float-n": b'{"n": 2.0, "A": [[1, 0], [0, 1]]}',
+    "object-bool-n": b'{"n": true, "A": [[1]]}',
+    "object-null-n": b'{"n": null, "A": [[1, 0], [0, 1]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MATRIX_FILES))
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(MALFORMED_MATRIX_FILES[name])
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_analyze_order_above_limit_exits_2(matrix_file, capsys):
+    n = MAX_ORDER + 1
+    path = matrix_file([[int(i == j) for j in range(n)] for i in range(n)])
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"MAX_ORDER = {MAX_ORDER}" in err
+
+
+def test_survey_order_above_limit_exits_2(capsys):
+    code, out, err = run(capsys, "survey", "--n", str(MAX_ORDER + 1), "--count", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"MAX_ORDER = {MAX_ORDER}" in err
