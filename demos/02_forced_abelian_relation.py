@@ -3,9 +3,11 @@
 Each foliation contributes a normal, the 2-form dx^xi ^ dy_xi.  For every
 web of this family the normals sum to zero exactly: the x-side uses
 columns of A where the y-side uses rows of A^{-1}, and the two halves of
-the sum cancel term by term after re-indexing.  The space of constant
-coefficient vectors with vanishing weighted sum is computed as an exact
-kernel; generically it is one-dimensional, spanned by all-ones.
+the sum cancel term by term after re-indexing.  A constant coefficient
+vector has vanishing weighted sum exactly when it is constant on each
+connected component of the support graph of A (rows against columns, an
+edge per nonzero entry); generically that graph is connected, so the space
+is one-dimensional, spanned by all-ones.
 """
 
 import random

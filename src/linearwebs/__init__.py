@@ -13,9 +13,10 @@ from .ratlin import (Rational, RatMatrix, ShapeError, SingularMatrixError,
                      format_rational, rational)
 from .forms import (Chart, ChartMismatchError, Independence, OneForm, TwoForm,
                     independent, wedge)
-from .webmodel import (AuditReport, ClosedFormEquations, DegenerateBlock,
-                       LinearWeb, WebConstructionError, build_web, closed_form,
-                       general_position_audit, parse_closed_form)
+from .webmodel import (MAX_ORDER, AuditReport, ClosedFormEquations,
+                       DegenerateBlock, LinearWeb, WebConstructionError,
+                       build_web, closed_form, general_position_audit,
+                       parse_closed_form)
 from .abelian import RankReport, abelian_residual, normals, relation_space
 from .coframe import (AdaptedCoframe, AffinorEntry, AffinorTable,
                       CoframeDegenerateError, adapted_coframe, basis_affinors,
@@ -36,7 +37,8 @@ __all__ = [
     "format_rational", "rational",
     "Chart", "ChartMismatchError", "Independence", "OneForm", "TwoForm",
     "independent", "wedge",
-    "AuditReport", "ClosedFormEquations", "DegenerateBlock", "LinearWeb",
+    "MAX_ORDER", "AuditReport", "ClosedFormEquations", "DegenerateBlock",
+    "LinearWeb",
     "WebConstructionError", "build_web", "closed_form",
     "general_position_audit", "parse_closed_form",
     "RankReport", "abelian_residual", "normals", "relation_space",

@@ -4,17 +4,24 @@ The normal of foliation xi is the 2-form dx^xi ^ dy_xi.  A constant
 relation is a coefficient vector f with sum_xi f_xi dx^xi ^ dy_xi = 0.
 For every web of this family the all-ones vector is a relation: the two
 halves of the sum cancel exactly because the x-side uses columns of A and
-the y-side rows of A^{-1}.  The relation space is the kernel of the
-C(2n,2) x 2n matrix whose columns are the flattened normals.
+the y-side rows of A^{-1}.
+
+The relation space is read off the support of A.  The weighted sum has
+coefficient A[i][b] (f_{n+b} - f_i) on dx^i ^ dy_{n+b} and nothing on the
+pure-x or pure-y pairs, so f is a relation exactly when it is constant on
+each connected component of the bipartite support graph of A: foliations
+1..n are its rows, n+1..2n its columns, with an edge wherever A[i][b] != 0
+(Brualdi & Ryser, Combinatorial Matrix Theory, 1991, ch. 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .forms import TwoForm, wedge
-from .ratlin import RatMatrix, format_rational, rational
+from .ratlin import format_rational, rational
 from .webmodel import LinearWeb
 
 __all__ = ["normals", "abelian_residual", "RankReport", "relation_space",
@@ -71,17 +78,36 @@ class RankReport:
 
 
 def relation_space(web: LinearWeb) -> RankReport:
-    """Compute the constant relation space of the web normals.
+    """The constant relation space of the web normals, from the support of A.
 
-    Every basis vector is normalized (first nonzero coordinate 1) and
-    satisfies the residual identity exactly.  For n = 3 the dimension is
-    compared against the cited bound of 1; dimension above the bound is
-    flagged as an anomaly (it only occurs for webs that also fail the
-    general position audit).
+    One basis vector per connected component of the support graph: its 0/1
+    indicator, the components ordered by their largest foliation index.
+    This is the normalized reduced-echelon kernel basis of the stacked
+    normals, and every vector satisfies the residual identity exactly.  For
+    n = 3 the dimension is compared against the cited bound of 1; dimension
+    above the bound is flagged as an anomaly (it only occurs for webs that
+    also fail the general position audit: a split support graph puts a zero
+    in A).
     """
-    columns = [omega.coeffs for omega in normals(web)]
-    stacked = RatMatrix(zip(*columns))
-    basis = stacked.kernel_basis()
+    n = web.n
+    parent = list(range(2 * n))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for i, row in enumerate(web.A.entries()):
+        for b, entry in enumerate(row):
+            if entry:
+                parent[root(i)] = root(n + b)
+    components: dict = {}
+    for k in range(2 * n):
+        components.setdefault(root(k), set()).add(k)
+    one, zero = Fraction(1), Fraction(0)
+    basis = tuple(tuple(one if k in members else zero for k in range(2 * n))
+                  for members in sorted(components.values(), key=max))
     dimension = len(basis)
     if web.n == 3:
         bound = RANK_BOUND_ORDER_3

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .analysis import analyze, reference_audit
 from .families import FAMILY_CONSTRAINTS, FamilySpec, survey
 from .ratlin import RatMatrix
-from .webmodel import WebConstructionError, build_web, closed_form
+from .webmodel import MAX_ORDER, WebConstructionError, build_web, closed_form
 
 __all__ = ["main"]
 
@@ -34,13 +34,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-# Largest order n that `analyze` and `survey --n` accept.  The general
-# position audit walks all C(2n, n) foliation subsets and keeps a table of
-# as many minors, so the cost roughly triples per order.  One `analyze` of a
-# generic matrix (entries in [-9, 9], Python 3.11, 2 cores; median of five
-# matrices) takes about 0.16 s at n = 7, 0.4 s at n = 8 and 1.0 s at n = 9,
-# then 4.7 s and 63 MB of peak memory at n = 10.
-MAX_ORDER = 9
 ORDER_LIMIT_HELP = (f"orders above {MAX_ORDER} are rejected: the audit walks all "
                     f"C(2n, n) foliation subsets, about 1 s per web at n = 9 "
                     f"and 5 s at n = 10")

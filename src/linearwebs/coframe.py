@@ -109,17 +109,25 @@ def adapted_coframe(web: LinearWeb) -> AdaptedCoframe:
 
 def _check_sum_identity(cof: AdaptedCoframe) -> None:
     # -top^i must equal the sum of the scaled coframe forms, exactly.
-    for total, top in ((_sum_forms(cof.omega_x), cof.top_pair[0]),
-                       (_sum_forms(cof.omega_y), cof.top_pair[1])):
-        if total != -top:
+    ones = (1,) * cof.n
+    for forms, top in zip((cof.omega_x, cof.omega_y), cof.top_pair):
+        if _combination(forms, ones) != _negated(top):
             raise AssertionError("coframe normalization identity violated")
 
 
-def _sum_forms(forms) -> OneForm:
-    total = forms[0]
-    for f in forms[1:]:
-        total = total + f
+def _combination(forms, weights) -> list:
+    """Chart coefficients of sum_b weights[b] forms[b], skipping zero terms."""
+    total = [0] * len(forms[0].coeffs)
+    for form, w in zip(forms, weights):
+        if w:
+            for k, c in enumerate(form.coeffs):
+                if c:
+                    total[k] += w * c
     return total
+
+
+def _negated(form: OneForm) -> list:
+    return [-c for c in form.coeffs]
 
 
 def expand_foliation(web: LinearWeb, cof: AdaptedCoframe, a: int) -> tuple:
@@ -146,11 +154,8 @@ def _require_upper(cof: AdaptedCoframe, a: int) -> None:
 
 
 def _check_expansion(web, cof, a, u, v) -> None:
-    lhs_x = -web.dx(a)
-    rhs_x = _sum_forms([cof.omega_x[b].scale(u[b]) for b in range(web.n)])
-    lhs_y = -web.dy(a)
-    rhs_y = _sum_forms([cof.omega_y[b].scale(v[b]) for b in range(web.n)])
-    if lhs_x != rhs_x or lhs_y != rhs_y:
+    if (_combination(cof.omega_x, u) != _negated(web.dx(a))
+            or _combination(cof.omega_y, v) != _negated(web.dy(a))):
         raise AssertionError("coframe expansion identity violated")
 
 

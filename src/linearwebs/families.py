@@ -24,7 +24,7 @@ from .abelian import relation_space
 from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test
 from .published import EXAMPLE_MATRICES
 from .ratlin import RatMatrix
-from .webmodel import LinearWeb, build_web, general_position_audit
+from .webmodel import MAX_ORDER, LinearWeb, build_web, general_position_audit
 
 __all__ = [
     "FAMILY_CONSTRAINTS",
@@ -64,6 +64,8 @@ class FamilySpec:
             raise ValueError(f"family {self.name} is defined for n = 3 only")
         if self.n < 1:
             raise ValueError("order must be at least 1")
+        if self.n > MAX_ORDER:
+            raise ValueError(f"order {self.n} is above the limit MAX_ORDER = {MAX_ORDER}")
         if self.entry_bound < 1:
             raise ValueError("entry bound must be at least 1")
 

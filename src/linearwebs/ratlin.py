@@ -2,11 +2,12 @@
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always
 reduced, positive denominator), re-exported as ``Rational``.  ``RatMatrix``
-is an immutable dense grid of such scalars with exact elimination-based
-determinants, inverses, ranks, minors and kernel bases, and a table of all
-square minors by integer Laplace expansion.  Everything here is
-deterministic: pivoting always picks the first nonzero entry in row order,
-so repeated runs produce identical kernel bases.
+is an immutable dense grid of such scalars with exact determinants and
+inverses by integer fraction-free elimination, minors, kernel bases from
+the reduced echelon form, and a table of all square minors by integer
+Laplace expansion.  Everything here is deterministic: pivoting always picks
+the first nonzero entry in row order, so repeated runs produce identical
+kernel bases.
 """
 
 from __future__ import annotations
@@ -173,49 +174,68 @@ class RatMatrix:
 
     # -- elimination-based operations ----------------------------------------
 
+    def _cleared(self) -> tuple:
+        """(integer grid, row scales): row i times scales[i] is integral."""
+        scales = [lcm(*(x.denominator for x in row)) for row in self._grid]
+        grid = [[x.numerator * (s // x.denominator) for x in row]
+                for row, s in zip(self._grid, scales)]
+        return grid, scales
+
     def det(self) -> Fraction:
-        """Exact determinant via Gaussian elimination, first-nonzero pivoting."""
+        """Exact determinant by Bareiss elimination, first-nonzero pivoting.
+
+        The rows are cleared of their denominators, so every step is an
+        integer update with an exact division by the previous pivot; the
+        scales are divided back once at the end.
+        """
         if not self.is_square:
             raise ShapeError("determinant requires a square matrix")
         n = self.rows
-        m = [list(row) for row in self._grid]
-        sign = 1
-        result = Fraction(1)
+        m, scales = self._cleared()
+        sign, prev = 1, 1
         for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
             if pivot_row is None:
                 return Fraction(0)
             if pivot_row != c:
                 m[c], m[pivot_row] = m[pivot_row], m[c]
                 sign = -sign
-            pivot = m[c][c]
-            result *= pivot
+            top = m[c]
+            pivot = top[c]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    factor = m[i][c] / pivot
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-        return sign * result
+                row, f = m[i], m[i][c]
+                m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, top)]
+            prev = pivot
+        return Fraction(sign * prev, prod(scales))
 
     def inverse(self) -> "RatMatrix":
-        """Exact inverse via Gauss-Jordan on the augmented matrix."""
+        """Exact inverse by fraction-free Gauss-Jordan, first-nonzero pivoting.
+
+        With D the diagonal of row scales that clears the denominators, the
+        integer elimination runs on [DA | D]; it ends at [d I | d A^-1],
+        d = det(DA) up to sign, and is divided back once.
+        """
         if not self.is_square:
             raise ShapeError("inverse requires a square matrix")
         n = self.rows
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self._grid)]
+        grid, scales = self._cleared()
+        m = [row + [s if i == j else 0 for j in range(n)]
+             for i, (row, s) in enumerate(zip(grid, scales))]
+        prev = 1
         for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
             if pivot_row is None:
                 raise SingularMatrixError(determinant=Fraction(0))
             if pivot_row != c:
                 m[c], m[pivot_row] = m[pivot_row], m[c]
-            pivot = m[c][c]
-            m[c] = [x / pivot for x in m[c]]
+            top = m[c]
+            pivot = top[c]
             for i in range(n):
-                if i != c and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-        return RatMatrix([row[n:] for row in m])
+                if i != c:
+                    row, f = m[i], m[i][c]
+                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, top)]
+            prev = pivot
+        return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in m])
 
     def _rref(self):
         """Reduced row echelon form; returns (rows, pivot column list)."""
@@ -239,9 +259,6 @@ class RatMatrix:
             pivots.append(c)
             r += 1
         return m, pivots
-
-    def rank(self) -> int:
-        return len(self._rref()[1])
 
     def kernel_basis(self) -> tuple:
         """Exact basis of the right null space.
@@ -287,9 +304,7 @@ class RatMatrix:
         multiplies in all.  Each entry is divided back by the product of its
         rows' scale factors, so the table holds the exact minors.
         """
-        scales = [lcm(*(x.denominator for x in row)) for row in self._grid]
-        grid = [[x.numerator * (s // x.denominator) for x in row]
-                for row, s in zip(self._grid, scales)]
+        grid, scales = self._cleared()
         table = {((), ()): Fraction(1)}
         # row set -> its order-(k-1) minors, one per column set in prev_cols order
         prev, prev_cols = {(): [1]}, {(): 0}

@@ -86,6 +86,35 @@ def wedge_expand(f, g, dim):
     return {k: v for k, v in coeffs.items() if v != 0}
 
 
+def relation_kernel(A_grid):
+    """Constant relations of the web normals by brute force.
+
+    Builds each foliation's x- and y-form on the 2n-dimensional chart from
+    ``A_grid`` (x-forms: unit vectors, then the columns of A; y-forms: the
+    negated rows of A, then unit vectors), wedges them with
+    :func:`wedge_expand`, stacks the C(2n,2) x 2n coefficient matrix and
+    returns its :func:`kernel` (not normalized).
+    """
+    n = len(A_grid)
+    dim = 2 * n
+    normals = []
+    for xi in range(1, dim + 1):
+        x = [Fraction(0)] * dim
+        y = [Fraction(0)] * dim
+        if xi <= n:
+            x[xi - 1] = Fraction(1)
+            for b in range(n):
+                y[n + b] = -Fraction(A_grid[xi - 1][b])
+        else:
+            for b in range(n):
+                x[b] = Fraction(A_grid[b][xi - n - 1])
+            y[xi - 1] = Fraction(1)
+        normals.append(wedge_expand(x, y, dim))
+    pairs = list(combinations(range(dim), 2))
+    grid = [[omega.get(p, Fraction(0)) for omega in normals] for p in pairs]
+    return kernel(grid)
+
+
 def enumerate_degenerate_blocks(A_grid, size):
     """General-position audit by exhaustive minor enumeration.
 

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
 
 from linearwebs import (RatMatrix, abelian_residual, build_web, example_web,
-                        normals, relation_space, wedge)
+                        general_position_audit, normals, relation_space, wedge)
 
-from oracles import kernel as kernel_oracle, rank as rank_oracle
+from oracles import kernel as kernel_oracle, rank as rank_oracle, relation_kernel
+from strategies import sparse_rational_webs
 
 
 def rand_web(rng, n, bound=9):
@@ -119,3 +121,64 @@ class TestRelationSpace:
             if relation_space(web).dimension == 1:
                 hits += 1
         assert hits >= 95
+
+
+def support_components(A) -> int:
+    """Connected components of the bipartite support graph of A, by search:
+    rows 0..n-1 and columns n..2n-1, an edge wherever A[i][b] != 0."""
+    n = A.rows
+    neighbours = {k: set() for k in range(2 * n)}
+    for i in range(n):
+        for b in range(n):
+            if A[i, b] != 0:
+                neighbours[i].add(n + b)
+                neighbours[n + b].add(i)
+    seen, count = set(), 0
+    for start in range(2 * n):
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                stack.extend(neighbours[k] - seen)
+    return count
+
+
+def normalized_oracle_basis(grid) -> tuple:
+    basis = []
+    for v in relation_kernel(grid):
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(x / lead for x in v))
+    return tuple(basis)
+
+
+class TestRelationSpaceTheorem:
+    @pytest.mark.parametrize("grid", [
+        [[0, 2], [3, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 1, 2], [0, 3, 1], [5, 0, 0]],
+        [[1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 0], [0, 4, 0, 0]],
+    ])
+    def test_components_ordered_by_largest_foliation(self, grid):
+        # split supports whose components interleave, so ordering them by
+        # their smallest foliation index would give another basis order
+        web = build_web(RatMatrix(grid))
+        assert relation_space(web).basis == normalized_oracle_basis(grid)
+
+    @given(sparse_rational_webs(max_n=5))
+    def test_basis_equals_normalized_oracle_kernel(self, web):
+        grid = [list(row) for row in web.A.entries()]
+        assert relation_space(web).basis == normalized_oracle_basis(grid)
+
+    @given(sparse_rational_webs(max_n=5))
+    def test_dimension_is_support_component_count(self, web):
+        assert relation_space(web).dimension == support_components(web.A)
+
+    @given(sparse_rational_webs(max_n=5))
+    def test_split_support_fails_the_strict_audit(self, web):
+        # two or more components leave a zero entry in A: a zero 1x1 minor
+        if relation_space(web).dimension >= 2:
+            assert not general_position_audit(web).general_position

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from linearwebs import (CoframeDegenerateError, RatMatrix, adapted_coframe,
                         basis_affinors, build_web, example_web,
                         expand_foliation)
+from linearwebs.coframe import _check_expansion, _check_sum_identity
 
 
 def rand_valid_gauge_web(rng, n=3, bound=9):
@@ -128,3 +130,22 @@ class TestBasisAffinors:
         table = basis_affinors(example_web(1))
         with pytest.raises(KeyError):
             table.entry(9, 1)
+
+
+class TestIdentityChecks:
+    def test_expansion_check_rejects_wrong_coefficients(self):
+        web = example_web(1)
+        cof = adapted_coframe(web)
+        u, v = cof.expansion(5)
+        bumped = (u[0] + 1,) + u[1:]
+        with pytest.raises(AssertionError, match="expansion identity"):
+            _check_expansion(web, cof, 5, bumped, v)
+        with pytest.raises(AssertionError, match="expansion identity"):
+            _check_expansion(web, cof, 5, u, v[::-1])
+
+    def test_sum_check_rejects_a_wrong_top_pair(self):
+        web = example_web(1)
+        cof = adapted_coframe(web)
+        wrong = replace(cof, top_pair=(web.dx(5), cof.top_pair[1]))
+        with pytest.raises(AssertionError, match="normalization identity"):
+            _check_sum_identity(wrong)

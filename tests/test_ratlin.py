@@ -9,6 +9,7 @@ from linearwebs.ratlin import (RatMatrix, ShapeError, SingularMatrixError,
                                format_rational, rational)
 
 from oracles import det_cofactor, kernel as kernel_oracle, rank as rank_oracle
+from strategies import sparse_rational_grids
 
 A1 = RatMatrix([[1, 1, 0], [1, 1, 1], [1, 2, 1]])
 A2 = RatMatrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]])
@@ -93,6 +94,60 @@ class TestInverse:
             assert inv.inverse() == M
             assert inv.det() == 1 / d
             assert M @ inv == RatMatrix.identity(n)
+
+
+@st.composite
+def swapping_grids(draw, max_n=6):
+    """Sparse rational grids of order 1..max_n whose leading entry is often
+    zero, so elimination has to swap rows."""
+    grid = draw(sparse_rational_grids(1, max_n))
+    if draw(st.booleans()):
+        grid[0][0] = Fraction(0)
+    return grid
+
+
+@st.composite
+def singular_grids(draw, max_n=6):
+    """Sparse rational grids with one row a rational combination of the
+    others (a zero row at order 1), placed at a drawn position."""
+    grid = draw(swapping_grids(max_n))
+    n = len(grid)
+    coeffs = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+              for _ in range(n - 1)]
+    others = [grid[k] for k in range(n - 1)]
+    dependent = [sum((c * row[j] for c, row in zip(coeffs, others)), Fraction(0))
+                 for j in range(n)]
+    others.insert(draw(st.integers(0, n - 1)), dependent)
+    return others
+
+
+class TestFractionFree:
+    @given(swapping_grids())
+    def test_det_matches_cofactor_oracle(self, grid):
+        assert RatMatrix(grid).det() == det_cofactor(grid)
+
+    @given(swapping_grids())
+    def test_inverse_is_a_two_sided_inverse(self, grid):
+        M = RatMatrix(grid)
+        if det_cofactor(grid) == 0:
+            with pytest.raises(SingularMatrixError):
+                M.inverse()
+            return
+        inv = M.inverse()
+        assert M @ inv == RatMatrix.identity(len(grid))
+        assert inv @ M == RatMatrix.identity(len(grid))
+
+    @given(singular_grids())
+    def test_singular_input_raises_with_zero_determinant(self, grid):
+        M = RatMatrix(grid)
+        assert M.det() == 0
+        with pytest.raises(SingularMatrixError) as err:
+            M.inverse()
+        assert err.value.determinant == 0
+
+    def test_inverse_of_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            RatMatrix([[1, 2, 3], [4, 5, 6]]).inverse()
 
 
 class TestKernel:

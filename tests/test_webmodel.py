@@ -3,34 +3,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
+from hypothesis import given
 
-from linearwebs import (RatMatrix, WebConstructionError, agw_test, build_web,
-                        closed_form, example_web, general_position_audit,
-                        parse_closed_form)
+from linearwebs import (MAX_ORDER, FamilySpec, RatMatrix, WebConstructionError,
+                        agw_test, build_web, closed_form, example_web,
+                        general_position_audit, independent, parse_closed_form)
 
 from oracles import det_cofactor, enumerate_degenerate_blocks
+from strategies import sparse_rational_webs
 
 A1 = [[1, 1, 0], [1, 1, 1], [1, 2, 1]]
 A2 = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
 A3 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-
-
-@st.composite
-def sparse_rational_webs(draw, max_n=4):
-    """Nonsingular webs of order 1..max_n: about 30% zero entries, the rest
-    p/q with 1 <= |p| <= 9 and q in 1..3."""
-    n = draw(st.integers(1, max_n))
-    numerators = st.one_of(st.integers(-9, -1), st.integers(1, 9))
-    nonzero = st.builds(Fraction, numerators, st.integers(1, 3))
-
-    def entry():
-        return Fraction(0) if draw(st.integers(0, 9)) < 3 else draw(nonzero)
-
-    A = RatMatrix([[entry() for _ in range(n)] for _ in range(n)])
-    assume(A.det() != 0)
-    return build_web(A)
 
 
 def rand_web(rng, n, bound=9):
@@ -227,3 +211,33 @@ class TestAuditProperties:
         # indeterminate verdict (degenerate gauges only) is off general position
         if agw_test(web).gauge_status == "degenerate":
             assert not general_position_audit(web).general_position
+
+    @given(sparse_rational_webs())
+    def test_witness_equals_chart_width_dependency(self, web):
+        # the witness row-reduces only the block's n live coordinates; the
+        # full 2n-coordinate forms give the same normalized dependency
+        audit = general_position_audit(web)
+        for d in audit.strict_degenerate + audit.pairwise_degenerate:
+            form = web.dx if d.block == "x" else web.dy
+            full = independent([form(xi) for xi in d.foliations])
+            assert not full.ok and d.dependency == full.dependency
+
+
+class TestOrderLimit:
+    def test_audit_refuses_before_building_the_table(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("minor table built above MAX_ORDER")
+
+        monkeypatch.setattr(RatMatrix, "minor_table", refuse)
+        web = build_web(RatMatrix.identity(MAX_ORDER + 1))
+        with pytest.raises(ValueError, match="MAX_ORDER"):
+            general_position_audit(web)
+
+    def test_identity_10_raises(self):
+        with pytest.raises(ValueError):
+            general_position_audit(build_web(RatMatrix.identity(10)))
+
+    def test_family_spec_bounds_the_order(self):
+        assert FamilySpec(n=MAX_ORDER).n == MAX_ORDER
+        with pytest.raises(ValueError, match="MAX_ORDER"):
+            FamilySpec(n=MAX_ORDER + 1)
