@@ -9,10 +9,9 @@ witnesses, parallelizability, parameter-family surveys, and an
 audit of three bundled reference examples against their published claims.
 """
 
-from .ratlin import (Rational, RatMatrix, ShapeError, SingularMatrixError,
+from .ratlin import (RatMatrix, ShapeError, SingularMatrixError,
                      format_rational, rational)
-from .forms import (Chart, ChartMismatchError, Independence, OneForm, TwoForm,
-                    independent, wedge)
+from .forms import Chart, ChartMismatchError, OneForm, TwoForm, wedge
 from .webmodel import (MAX_ORDER, AuditReport, ClosedFormEquations,
                        DegenerateBlock, LinearWeb, WebConstructionError,
                        build_web, closed_form, general_position_audit,
@@ -33,10 +32,9 @@ from .analysis import (AnalysisBundle, CheckResult, CompatNote,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "RatMatrix", "ShapeError", "SingularMatrixError",
+    "RatMatrix", "ShapeError", "SingularMatrixError",
     "format_rational", "rational",
-    "Chart", "ChartMismatchError", "Independence", "OneForm", "TwoForm",
-    "independent", "wedge",
+    "Chart", "ChartMismatchError", "OneForm", "TwoForm", "wedge",
     "MAX_ORDER", "AuditReport", "ClosedFormEquations", "DegenerateBlock",
     "LinearWeb",
     "WebConstructionError", "build_web", "closed_form",

@@ -7,8 +7,9 @@ Subcommands:
     verify-paper         audit battery over the three bundled examples
     survey               seeded genericity survey over a parameter family
 
-Matrix files are JSON arrays of arrays of integers or "p/q" strings; CSV
-with the same tokens is accepted as a fallback.  ``analyze`` and ``survey``
+Matrix files are JSON arrays of arrays of integers or "p/q" strings (an
+integer, or integer/integer, nothing else); CSV with the same tokens is
+accepted as a fallback.  ``analyze`` and ``survey``
 reject orders above ``MAX_ORDER``.  Exit codes: 0 success, 1 internal
 invariant violation (including failed derived-math checks in verify-paper),
 2 bad user input.
@@ -100,9 +101,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(payload_text: str, payload_json, args) -> None:
-    body = (json.dumps(payload_json, indent=2, sort_keys=True) + "\n"
-            if args.json else payload_text + "\n")
+def _emit(result, args) -> None:
+    """Write ``result.to_dict()`` as JSON or ``result.to_text()``.
+
+    The body is rendered in full before anything is written, so an exact
+    value past Python's int-to-str digit limit exits 2 with no output.
+    """
+    try:
+        body = (json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+                if args.json else result.to_text() + "\n")
+    except ValueError as exc:
+        raise _UsageError(f"cannot print the result: {exc}") from exc
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -122,7 +131,7 @@ def _cmd_analyze(args) -> int:
         bundle = analyze(A)
     except WebConstructionError as exc:
         raise _UsageError(str(exc)) from exc
-    _emit(bundle.to_text(), bundle.to_dict(), args)
+    _emit(bundle, args)
     return EXIT_OK
 
 
@@ -132,13 +141,13 @@ def _cmd_closed_form(args) -> int:
         equations = closed_form(build_web(A))
     except WebConstructionError as exc:
         raise _UsageError(str(exc)) from exc
-    _emit(equations.to_text(), equations.to_dict(), args)
+    _emit(equations, args)
     return EXIT_OK
 
 
 def _cmd_verify_paper(args) -> int:
     report = reference_audit()
-    _emit(report.to_text(), report.to_dict(), args)
+    _emit(report, args)
     return EXIT_OK if report.derived_ok else EXIT_INTERNAL
 
 
@@ -151,7 +160,7 @@ def _cmd_survey(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     stats = survey(spec, count=args.count, seed=args.seed, jobs=args.jobs)
-    _emit(stats.to_text(), stats.to_dict(), args)
+    _emit(stats, args)
     return EXIT_OK
 
 

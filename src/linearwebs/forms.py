@@ -14,18 +14,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
-from .ratlin import RatMatrix, rational, format_rational
+from .ratlin import rational, format_rational
 
 __all__ = [
     "Chart",
     "OneForm",
     "TwoForm",
     "ChartMismatchError",
-    "Independence",
     "wedge",
-    "independent",
 ]
 
 
@@ -203,36 +200,3 @@ def wedge(f: OneForm, g: OneForm) -> TwoForm:
     coeffs = tuple(f.coeffs[i] * g.coeffs[j] - f.coeffs[j] * g.coeffs[i]
                    for i, j in chart.pairs())
     return TwoForm(chart, coeffs)
-
-
-@dataclass(frozen=True)
-class Independence:
-    """Outcome of a linear independence test, with a witness on failure.
-
-    ``dependency`` is a nontrivial coefficient vector over the input forms
-    whose combination is zero, scaled so its first nonzero entry is 1.
-    """
-
-    ok: bool
-    dependency: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def independent(forms: Sequence[OneForm]) -> Independence:
-    """Test a list of one-forms for linear independence.
-
-    The empty list is independent by convention.
-    """
-    if not forms:
-        return Independence(True)
-    chart = forms[0].chart
-    for f in forms[1:]:
-        if f.chart != chart:
-            raise ChartMismatchError("forms on different charts")
-    columns = RatMatrix(zip(*(f.coeffs for f in forms)))
-    kernel = columns.kernel_basis()
-    if not kernel:
-        return Independence(True)
-    return Independence(False, kernel[0])

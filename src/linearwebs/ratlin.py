@@ -1,26 +1,23 @@
 """Exact rational scalars and dense rational matrices.
 
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always
-reduced, positive denominator), re-exported as ``Rational``.  ``RatMatrix``
-is an immutable dense grid of such scalars with exact determinants and
-inverses by integer fraction-free elimination, minors, kernel bases from
-the reduced echelon form, and a table of all square minors by integer
-Laplace expansion.  Everything here is deterministic: pivoting always picks
-the first nonzero entry in row order, so repeated runs produce identical
-kernel bases.
+reduced, positive denominator).  ``RatMatrix`` is an immutable dense grid of
+such scalars.  Its determinant, inverse and kernel basis share one integer
+fraction-free Gauss-Jordan elimination (:func:`_eliminate`), and a table of
+all square minors comes from integer Laplace expansion.  Everything here is
+deterministic: pivoting always picks the first nonzero entry in row order,
+so repeated runs produce identical kernel bases.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RatMatrix",
     "ShapeError",
     "SingularMatrixError",
@@ -45,12 +42,17 @@ class SingularMatrixError(ValueError):
         self.determinant = determinant
 
 
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational(value) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational.
 
     Floats are rejected: every quantity in this library must be exact.
-    Booleans are rejected too, although ``bool`` subclasses ``int``, and a
-    zero denominator is a ``ValueError``.
+    Booleans are rejected too, although ``bool`` subclasses ``int``.  A
+    string must be ``p`` or ``p/q`` in ASCII digits with an optional sign,
+    after stripping whitespace: decimal points, exponents and underscores
+    are a ``ValueError``, and so is a zero denominator.
     """
     if isinstance(value, Fraction):
         return value
@@ -59,8 +61,11 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL_STRING.fullmatch(text):
+            raise ValueError(f"expected an integer or \"p/q\", got {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot coerce {type(value).__name__} to an exact rational")
@@ -69,6 +74,54 @@ def rational(value) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Wire format for rationals: ``"p/q"``, with ``/q`` omitted when q = 1."""
     return str(value)
+
+
+def _eliminate(m: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``m``, in place.
+
+    Columns 0..ncols-1 are scanned left to right; the pivot of a column is
+    its first nonzero entry at or below the next pivot row, swapped up into
+    place.  Every other row, above and below, becomes ``(p*a - f*b) // prev``
+    with p the new pivot, f the row's entry in the pivot column, b the pivot
+    row's entry and prev the previous pivot (1 at the start).  Columns past
+    ncols are carried along but never pivoted on.
+
+    Each division is exact (Bareiss 1968) because after k pivots every entry
+    is, up to sign, a minor of the input.  A row not yet pivoted holds the
+    (k+1)-minor on the pivot rows plus itself and the pivot columns plus the
+    entry's column; a pivot row holds, by Cramer's rule, the k-minor on the
+    pivot rows and the pivot columns with its own pivot column swapped for
+    the entry's column.  By Sylvester's identity p*a - f*b is prev times the
+    entry's next minor, an integer, so ``//`` drops no remainder.
+
+    Returns (pivot columns, sign of the row permutation, last pivot).  On
+    return pivot row r is ``prev`` times row r of the reduced echelon form,
+    and with full rank ``sign * prev`` is the determinant of the square
+    block.
+    """
+    nrows = len(m)
+    pivots, sign, prev, r = [], 1, 1, 0
+    for c in range(ncols):
+        for k in range(r, nrows):
+            if m[k][c]:
+                break
+        else:
+            continue
+        if k != r:
+            m[r], m[k] = m[k], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign, prev
 
 
 class RatMatrix:
@@ -133,22 +186,6 @@ class RatMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self._grid))
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in row] for row in self._grid])
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix([[a + b for a, b in zip(r, s)]
-                          for r, s in zip(self._grid, other._grid)])
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        return RatMatrix([[a - b for a, b in zip(r, s)]
-                          for r, s in zip(self._grid, other._grid)])
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
@@ -182,38 +219,22 @@ class RatMatrix:
         return grid, scales
 
     def det(self) -> Fraction:
-        """Exact determinant by Bareiss elimination, first-nonzero pivoting.
-
-        The rows are cleared of their denominators, so every step is an
-        integer update with an exact division by the previous pivot; the
-        scales are divided back once at the end.
-        """
+        """Exact determinant: sign * last pivot of :func:`_eliminate` on the
+        cleared rows, divided back by the row scales; 0 below full rank."""
         if not self.is_square:
             raise ShapeError("determinant requires a square matrix")
-        n = self.rows
         m, scales = self._cleared()
-        sign, prev = 1, 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            top = m[c]
-            pivot = top[c]
-            for i in range(c + 1, n):
-                row, f = m[i], m[i][c]
-                m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, top)]
-            prev = pivot
+        pivots, sign, prev = _eliminate(m, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
         return Fraction(sign * prev, prod(scales))
 
     def inverse(self) -> "RatMatrix":
-        """Exact inverse by fraction-free Gauss-Jordan, first-nonzero pivoting.
+        """Exact inverse by :func:`_eliminate` on [DA | D].
 
-        With D the diagonal of row scales that clears the denominators, the
-        integer elimination runs on [DA | D]; it ends at [d I | d A^-1],
-        d = det(DA) up to sign, and is divided back once.
+        D is the diagonal of row scales that clears the denominators; the
+        elimination ends at [d I | d A^-1], d the last pivot, and is divided
+        back once.
         """
         if not self.is_square:
             raise ShapeError("inverse requires a square matrix")
@@ -221,78 +242,35 @@ class RatMatrix:
         grid, scales = self._cleared()
         m = [row + [s if i == j else 0 for j in range(n)]
              for i, (row, s) in enumerate(zip(grid, scales))]
-        prev = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                raise SingularMatrixError(determinant=Fraction(0))
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-            top = m[c]
-            pivot = top[c]
-            for i in range(n):
-                if i != c:
-                    row, f = m[i], m[i][c]
-                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(row, top)]
-            prev = pivot
+        pivots, _, prev = _eliminate(m, n)
+        if len(pivots) < n:
+            raise SingularMatrixError(determinant=Fraction(0))
         return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in m])
-
-    def _rref(self):
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = [list(row) for row in self._grid]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pivot = m[r][c]
-            m[r] = [x / pivot for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return m, pivots
 
     def kernel_basis(self) -> tuple:
         """Exact basis of the right null space.
 
         One vector per free column of the reduced echelon form, in ascending
         free-column order, each scaled so its first nonzero coordinate is 1.
-        Returns an empty tuple when the kernel is trivial.
+        Returns an empty tuple when the kernel is trivial.  :func:`_eliminate`
+        leaves pivot row r at ``prev`` times row r of the reduced echelon
+        form, so free column f gives ``prev`` at f and ``-m[r][f]`` at the
+        pivot column of each row r.
         """
-        m, pivots = self._rref()
-        free = [c for c in range(self.cols) if c not in pivots]
+        m, _ = self._cleared()
+        pivots, _, prev = _eliminate(m, self.cols)
+        pivot_set = set(pivots)
         basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][f]
-            lead = next(x for x in v if x != 0)
-            basis.append(tuple(x / lead for x in v))
+        for f in range(self.cols):
+            if f in pivot_set:
+                continue
+            v = [0] * self.cols
+            v[f] = prev
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[f]
+            lead = next(x for x in v if x)
+            basis.append(tuple(Fraction(x, lead) for x in v))
         return tuple(basis)
-
-    def submatrix(self, row_subset: Sequence[int], col_subset: Sequence[int]) -> "RatMatrix":
-        for i in row_subset:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row index {i} out of range")
-        for j in col_subset:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"column index {j} out of range")
-        return RatMatrix([[self._grid[i][j] for j in col_subset] for i in row_subset])
-
-    def minor(self, row_subset: Sequence[int], col_subset: Sequence[int]) -> Fraction:
-        """Determinant of the selected square submatrix (0-based indices)."""
-        if len(row_subset) != len(col_subset):
-            raise ShapeError("row and column subsets must have equal size")
-        return self.submatrix(row_subset, col_subset).det()
 
     def minor_table(self) -> dict:
         """Every square minor, keyed by ``(rows, cols)`` tuples (0-based, ascending).
@@ -330,9 +308,3 @@ class RatMatrix:
                              for cols, value in zip(col_sets, values))
             prev, prev_cols = level, {cols: i for i, cols in enumerate(col_sets)}
         return table
-
-    # -- internal ------------------------------------------------------------
-
-    def _require_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("matrix shapes differ")

@@ -205,6 +205,11 @@ MALFORMED_MATRIX_FILES = {
     "object-float-n": b'{"n": 2.0, "A": [[1, 0], [0, 1]]}',
     "object-bool-n": b'{"n": true, "A": [[1]]}',
     "object-null-n": b'{"n": null, "A": [[1, 0], [0, 1]]}',
+    "decimal-string": b'[["0.5", 0], [0, 1]]',
+    "exponent-string": b'[["1e5000"]]',
+    "underscore-string": b'[["1_000", 0], [0, 1]]',
+    # entries inside the grammar whose 6000-digit determinant cannot be printed
+    "result-past-digit-limit": b'[["' + b"9" * 3000 + b'", 0], [0, "' + b"9" * 3000 + b'"]]',
 }
 
 

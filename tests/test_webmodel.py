@@ -7,9 +7,9 @@ from hypothesis import given
 
 from linearwebs import (MAX_ORDER, FamilySpec, RatMatrix, WebConstructionError,
                         agw_test, build_web, closed_form, example_web,
-                        general_position_audit, independent, parse_closed_form)
+                        general_position_audit, parse_closed_form)
 
-from oracles import det_cofactor, enumerate_degenerate_blocks
+from oracles import det_cofactor, enumerate_degenerate_blocks, kernel, rank
 from strategies import sparse_rational_webs
 
 A1 = [[1, 1, 0], [1, 1, 1], [1, 2, 1]]
@@ -69,9 +69,8 @@ class TestConstruction:
         rng = random.Random(9)
         for _ in range(30):
             web = rand_web(rng, rng.randint(2, 4))
-            from linearwebs import independent
             for xi in range(1, 2 * web.n + 1):
-                assert independent(list(web.foliation_pair(xi))).ok
+                assert rank([f.coeffs for f in web.foliation_pair(xi)]) == 2
 
 
 class TestClosedForm:
@@ -215,12 +214,15 @@ class TestAuditProperties:
     @given(sparse_rational_webs())
     def test_witness_equals_chart_width_dependency(self, web):
         # the witness row-reduces only the block's n live coordinates; the
-        # full 2n-coordinate forms give the same normalized dependency
+        # oracle kernel of the full 2n-coordinate forms, normalized to lead 1,
+        # starts with the same dependency
         audit = general_position_audit(web)
         for d in audit.strict_degenerate + audit.pairwise_degenerate:
             form = web.dx if d.block == "x" else web.dy
-            full = independent([form(xi) for xi in d.foliations])
-            assert not full.ok and d.dependency == full.dependency
+            full = kernel(list(zip(*(form(xi).coeffs for xi in d.foliations))))
+            assert full
+            lead = next(x for x in full[0] if x)
+            assert d.dependency == tuple(x / lead for x in full[0])
 
 
 class TestOrderLimit:
