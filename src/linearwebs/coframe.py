@@ -18,6 +18,10 @@ over the coframe with coefficient vectors u (x side) and v (y side):
 
 The basis affinor scalars are the ratios u_ahat/u_n and v_ahat/v_n for
 ahat in {1 .. n-1}; they depend on A alone, never on a chart point.
+
+The coframe is held as these ratios: the forms omega are never built.  The
+normalization and expansion identities are still checked exactly, on the
+entries of A and B they reduce to.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .forms import OneForm
 from .ratlin import format_rational
 
 if TYPE_CHECKING:
@@ -49,14 +52,11 @@ class CoframeDegenerateError(ValueError):
 
 @dataclass(frozen=True)
 class AdaptedCoframe:
-    """The gauge-fixed coframe, or the exact list of vanishing gauge entries."""
+    """The gauge status and the (u, v) ratios, or the exact list of vanishing gauge entries."""
 
     n: int
     status: str  # "valid" | "degenerate"
     vanishing: tuple  # gauge entry names like "A[2][1]" when degenerate
-    omega_x: Optional[tuple]  # omega_a^1 for a = 1..n, when valid
-    omega_y: Optional[tuple]  # omega_a^2 for a = 1..n, when valid
-    top_pair: Optional[tuple]  # (dx^{n+1}, dy_{n+1}) raw forms, when valid
     expansions: tuple = ()  # (u, v) for a = n+2..2n, when valid
 
     @property
@@ -67,15 +67,6 @@ class AdaptedCoframe:
         """(u, v) of upper foliation a, as :func:`expand_foliation` derived it."""
         _require_upper(self, a)
         return self.expansions[a - self.n - 2]
-
-    def to_dict(self) -> dict:
-        out = {"n": self.n, "status": self.status}
-        if self.vanishing:
-            out["vanishing"] = list(self.vanishing)
-        if self.is_valid:
-            out["omega_x"] = [f.to_json() for f in self.omega_x]
-            out["omega_y"] = [f.to_json() for f in self.omega_y]
-        return out
 
 
 def _gauge_zeros(web: LinearWeb) -> tuple:
@@ -91,43 +82,29 @@ def _gauge_zeros(web: LinearWeb) -> tuple:
 
 
 def adapted_coframe(web: LinearWeb) -> AdaptedCoframe:
-    """Build the coframe and its expansions; degeneracy is a status, not a failure."""
+    """Check the gauge and derive its expansions; degeneracy is a status, not a failure."""
     n = web.n
     vanishing = _gauge_zeros(web)
     if vanishing:
-        return AdaptedCoframe(n=n, status="degenerate", vanishing=vanishing,
-                              omega_x=None, omega_y=None, top_pair=None)
-    omega_x = tuple(web.dx(a).scale(-web.A[a - 1, 0]) for a in range(1, n + 1))
-    omega_y = tuple(web.dy(a).scale(web.B[0, a - 1]) for a in range(1, n + 1))
-    top = (web.dx(n + 1), web.dy(n + 1))
-    cof = AdaptedCoframe(n=n, status="valid", vanishing=(),
-                         omega_x=omega_x, omega_y=omega_y, top_pair=top)
-    _check_sum_identity(cof)
+        return AdaptedCoframe(n=n, status="degenerate", vanishing=vanishing)
+    _check_sum_identity(web)
+    cof = AdaptedCoframe(n=n, status="valid", vanishing=())
     return replace(cof, expansions=tuple(
         expand_foliation(web, cof, a) for a in range(n + 2, 2 * n + 1)))
 
 
-def _check_sum_identity(cof: AdaptedCoframe) -> None:
-    # -top^i must equal the sum of the scaled coframe forms, exactly.
-    ones = (1,) * cof.n
-    for forms, top in zip((cof.omega_x, cof.omega_y), cof.top_pair):
-        if _combination(forms, ones) != _negated(top):
-            raise AssertionError("coframe normalization identity violated")
+def _check_sum_identity(web: LinearWeb) -> None:
+    # sum_b omega_b^2 = -dy_{n+1}: with dy_b = -sum_j A[b][j] dy_{n+j}, row 1
+    # of B A must be e_1.  The x side, sum_b -A[b][1] dx^b = -dx^{n+1},
+    # holds term by term.
+    if not _combines_to_unit(web.B.row(0), web.A.entries(), 0):
+        raise AssertionError("coframe normalization identity violated")
 
 
-def _combination(forms, weights) -> list:
-    """Chart coefficients of sum_b weights[b] forms[b], skipping zero terms."""
-    total = [0] * len(forms[0].coeffs)
-    for form, w in zip(forms, weights):
-        if w:
-            for k, c in enumerate(form.coeffs):
-                if c:
-                    total[k] += w * c
-    return total
-
-
-def _negated(form: OneForm) -> list:
-    return [-c for c in form.coeffs]
+def _combines_to_unit(weights, rows, c: int) -> bool:
+    """Whether sum_b weights[b] * rows[b] is the unit vector e_c, exactly."""
+    return all(sum(w * row[j] for w, row in zip(weights, rows) if row[j]) == int(j == c)
+               for j in range(len(rows[0])))
 
 
 def expand_foliation(web: LinearWeb, cof: AdaptedCoframe, a: int) -> tuple:
@@ -136,11 +113,11 @@ def expand_foliation(web: LinearWeb, cof: AdaptedCoframe, a: int) -> tuple:
     Requires a valid coframe and n+2 <= a <= 2n.  The expansion identity is
     re-checked exactly before returning.
     """
-    n = web.n
     _require_upper(cof, a)
-    c = a - n
-    u = tuple(web.A[b, c - 1] / web.A[b, 0] for b in range(n))
-    v = tuple(web.B[c - 1, b] / web.B[0, b] for b in range(n))
+    c = a - web.n - 1
+    A, B = web.A.entries(), web.B.entries()
+    u = tuple(row[c] / row[0] for row in A)
+    v = tuple(x / g for x, g in zip(B[c], B[0]))
     _check_expansion(web, cof, a, u, v)
     return u, v
 
@@ -154,8 +131,14 @@ def _require_upper(cof: AdaptedCoframe, a: int) -> None:
 
 
 def _check_expansion(web, cof, a, u, v) -> None:
-    if (_combination(cof.omega_x, u) != _negated(web.dx(a))
-            or _combination(cof.omega_y, v) != _negated(web.dy(a))):
+    # x side: u_b omega_b^1 = -u_b A[b][1] dx^b must be the dx^b term of
+    # -dx^a, -A[b][a-n] dx^b.  y side: sum_b v_b omega_b^2 = -dy_a, that is
+    # sum_b v_b B[1][b] A[b][j] = [j == a-n] on each chart form dy_{n+j}.
+    c = a - cof.n - 1
+    A = web.A.entries()
+    weights = [vb * g for vb, g in zip(v, web.B.row(0))]
+    if (any(ub * row[0] != row[c] for ub, row in zip(u, A))
+            or not _combines_to_unit(weights, A, c)):
         raise AssertionError("coframe expansion identity violated")
 
 

@@ -24,7 +24,7 @@ from .abelian import relation_space
 from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test
 from .published import EXAMPLE_MATRICES
 from .ratlin import RatMatrix
-from .webmodel import MAX_ORDER, LinearWeb, build_web, general_position_audit
+from .webmodel import MAX_ORDER, LinearWeb, WebConstructionError, build_web
 
 __all__ = [
     "FAMILY_CONSTRAINTS",
@@ -88,23 +88,30 @@ def derive_seed(root: int, *path: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sample_matrix(spec: FamilySpec, seed: int) -> RatMatrix:
-    """Deterministic-for-seed nonsingular integer matrix satisfying the family."""
+def sample_family(spec: FamilySpec, seed: int) -> LinearWeb:
+    """Deterministic-for-seed web of a nonsingular integer matrix satisfying the family.
+
+    Each draw is built into a web at once: a draw is singular exactly when
+    its inverse fails, so a singular draw is retried and never row-reduced
+    twice.
+    """
     rng = random.Random(seed)
     constrained = {(r - 1, c - 1) for r, c in spec.constraints}
     for _ in range(_SAMPLE_RETRIES):
         grid = [[0 if (i, j) in constrained
                  else rng.randint(-spec.entry_bound, spec.entry_bound)
                  for j in range(spec.n)] for i in range(spec.n)]
-        A = RatMatrix(grid)
-        if A.det() != 0:
-            return A
+        try:
+            return build_web(RatMatrix(grid))
+        except WebConstructionError:
+            continue
     raise RuntimeError(f"no nonsingular sample found in {_SAMPLE_RETRIES} draws "
                        f"(family {spec.name}, bound {spec.entry_bound})")
 
 
-def sample_family(spec: FamilySpec, seed: int) -> LinearWeb:
-    return build_web(sample_matrix(spec, seed))
+def sample_matrix(spec: FamilySpec, seed: int) -> RatMatrix:
+    """The defining matrix of :func:`sample_family` for the same seed."""
+    return sample_family(spec, seed).A
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,6 @@ class SurveyStats:
 def _survey_one(spec: FamilySpec, seed: int, index: int) -> dict:
     web = sample_family(spec, derive_seed(seed, index))
     agw_report = agw_test(web)
-    audit = general_position_audit(web)
     rank = relation_space(web)
     left_zero = None
     if spec.n == 3:
@@ -191,7 +197,7 @@ def _survey_one(spec: FamilySpec, seed: int, index: int) -> dict:
     return {
         "index": index,
         "verdict": agw_report.verdict,
-        "audit_clean": audit.general_position,
+        "audit_clean": web.in_general_position,
         "relation_dim": rank.dimension,
         "left_zero": left_zero,
     }

@@ -3,8 +3,9 @@
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always
 reduced, positive denominator).  ``RatMatrix`` is an immutable dense grid of
 such scalars.  Its determinant, inverse and kernel basis share one integer
-fraction-free Gauss-Jordan elimination (:func:`_eliminate`), and a table of
-all square minors comes from integer Laplace expansion.  Everything here is
+fraction-free Gauss-Jordan elimination (:func:`_eliminate`); a table of all
+square minors, and an early-exit check that they are nonzero, share one
+integer Laplace expansion (:func:`_minor_levels`).  Everything here is
 deterministic: pivoting always picks the first nonzero entry in row order,
 so repeated runs produce identical kernel bases.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -276,35 +277,62 @@ class RatMatrix:
         """Every square minor, keyed by ``(rows, cols)`` tuples (0-based, ascending).
 
         The empty minor ``((), ())`` is 1.  Each row is first scaled by the
-        lcm of its denominators, so the work is integer-only; the order-k
-        minors follow from the order-(k-1) ones by Laplace expansion along
-        the first row of each row set, sum_k k*C(rows,k)*C(cols,k) integer
-        multiplies in all.  Each entry is divided back by the product of its
-        rows' scale factors, so the table holds the exact minors.
+        lcm of its denominators, so the work is integer-only (:func:`_minor_levels`);
+        each entry is divided back by the product of its rows' scale factors,
+        so the table holds the exact minors.
         """
         grid, scales = self._cleared()
         table = {((), ()): Fraction(1)}
-        # row set -> its order-(k-1) minors, one per column set in prev_cols order
-        prev, prev_cols = {(): [1]}, {(): 0}
-        for k in range(1, min(self.rows, self.cols) + 1):
-            col_sets = list(combinations(range(self.cols), k))
-            # expansion terms of each column set: (column, odd position, sub-minor index)
-            plans = [[(j, t & 1, prev_cols[cols[:t] + cols[t + 1:]])
-                      for t, j in enumerate(cols)] for cols in col_sets]
-            level = {}
-            for rows in combinations(range(self.rows), k):
-                top, sub = grid[rows[0]], prev[rows[1:]]
-                values = []
-                for plan in plans:
-                    total = 0
-                    for j, odd, at in plan:
-                        if top[j]:
-                            term = top[j] * sub[at]
-                            total = total - term if odd else total + term
-                    values.append(total)
-                level[rows] = values
+        for col_sets, level in _minor_levels(grid, self.cols):
+            for rows, values in level.items():
                 scale = prod(scales[i] for i in rows)
                 table.update(((rows, cols), Fraction(value, scale))
                              for cols, value in zip(col_sets, values))
-            prev, prev_cols = level, {cols: i for i, cols in enumerate(col_sets)}
         return table
+
+    def minors_nonzero(self, order: int) -> bool:
+        """Whether every square minor of order 1..``order`` is nonzero.
+
+        Row scaling moves no minor to or from zero, so the cleared integer
+        grid is scanned, entries first, and the scan stops after the first
+        order that holds a zero.
+        """
+        grid, _ = self._cleared()
+        for _, level in islice(_minor_levels(grid, self.cols), order):
+            if not all(map(all, level.values())):
+                return False
+        return True
+
+
+def _minor_levels(grid: list, ncols: int):
+    """The square minors of the integer ``grid``, one order at a time.
+
+    Yields (column sets, level) for k = 1, 2, ..: the column sets are the
+    k-subsets of the columns, and the level maps each k-subset of the rows
+    to its order-k minors, one per column set in that order (all 0-based
+    and ascending).  Each order follows from the one before by Laplace
+    expansion along the first row of each row set,
+    sum_k k*C(rows,k)*C(cols,k) integer multiplies in all, so a caller that
+    stops early pays only for the orders it read.
+    """
+    # row set -> its order-(k-1) minors, one per column set in prev_cols order
+    prev, prev_cols = {(): [1]}, {(): 0}
+    for k in range(1, min(len(grid), ncols) + 1):
+        col_sets = list(combinations(range(ncols), k))
+        # expansion terms of each column set: (column, odd position, sub-minor index)
+        plans = [[(j, t & 1, prev_cols[cols[:t] + cols[t + 1:]])
+                  for t, j in enumerate(cols)] for cols in col_sets]
+        level = {}
+        for rows in combinations(range(len(grid)), k):
+            top, sub = grid[rows[0]], prev[rows[1:]]
+            values = []
+            for plan in plans:
+                total = 0
+                for j, odd, at in plan:
+                    if top[j]:
+                        term = top[j] * sub[at]
+                        total = total - term if odd else total + term
+                values.append(total)
+            level[rows] = values
+        yield col_sets, level
+        prev, prev_cols = level, {cols: i for i, cols in enumerate(col_sets)}

@@ -101,11 +101,20 @@ class LinearWeb:
 
         Raises ``ValueError`` above :data:`MAX_ORDER`, before building anything.
         """
-        n = self.n
-        if n > MAX_ORDER:
-            raise ValueError(f"order {n} is above the limit MAX_ORDER = {MAX_ORDER}: the "
-                             f"minor table would have {comb(2 * n, n)} entries")
+        self._check_order()
         return self.A.minor_table()
+
+    @cached_property
+    def in_general_position(self) -> bool:
+        """Whether any n of the 2n foliations are in general position.
+
+        That holds exactly when every minor of A of order 1..n-1 is nonzero
+        (see :func:`_block_failures`), so it is read by an early-exit scan
+        (:meth:`RatMatrix.minors_nonzero`) without a minor table.  Raises
+        ``ValueError`` above :data:`MAX_ORDER`, like :attr:`minors`.
+        """
+        self._check_order()
+        return self.A.minors_nonzero(self.n - 1)
 
     @cached_property
     def affinors(self) -> AffinorTable:
@@ -115,6 +124,12 @@ class LinearWeb:
     def _check_index(self, xi: int) -> None:
         if not 1 <= xi <= 2 * self.n:
             raise IndexError(f"foliation index {xi} outside 1..{2 * self.n}")
+
+    def _check_order(self) -> None:
+        n = self.n
+        if n > MAX_ORDER:
+            raise ValueError(f"order {n} is above the limit MAX_ORDER = {MAX_ORDER}: the "
+                             f"minor table would have {comb(2 * n, n)} entries")
 
 
 def build_web(A: RatMatrix) -> LinearWeb:
@@ -279,13 +294,19 @@ class DegenerateBlock:
         Scaled so its first nonzero entry is 1.  Only the block's n live
         chart coordinates are row-reduced (dx^1..dx^n for an x-block,
         dy_{n+1}..dy_{2n} for a y-block); the other n are zero on every
-        form of the block, so the kernel is that of the full forms.
+        form of the block, so the kernel is that of the full forms.  The
+        live coordinates are read off A as :meth:`LinearWeb.dx` and
+        :meth:`LinearWeb.dy` define them: a unit vector or a column of A
+        on the x side, minus a row of A or a unit vector on the y side.
         """
         n = self.web.n
-        if self.block == "x":
-            vectors = [self.web.dx(xi).coeffs[:n] for xi in self.foliations]
-        else:
-            vectors = [self.web.dy(xi).coeffs[n:] for xi in self.foliations]
+        A = self.web.A.entries()
+        vectors = []
+        for xi in self.foliations:
+            if self.block == "x":
+                vectors.append(_unit(n, xi - 1) if xi <= n else [row[xi - n - 1] for row in A])
+            else:
+                vectors.append([-x for x in A[xi - 1]] if xi <= n else _unit(n, xi - n - 1))
         return RatMatrix(zip(*vectors)).kernel_basis()[0]
 
     def to_dict(self) -> dict:
@@ -294,6 +315,10 @@ class DegenerateBlock:
             "block": self.block,
             "dependency": [format_rational(c) for c in self.dependency],
         }
+
+
+def _unit(n: int, i: int) -> list:
+    return [int(k == i) for k in range(n)]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 cross-check the library.  Nothing here imports library internals beyond the
 matrix wire format (lists of Fractions)."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -139,3 +140,22 @@ def enumerate_degenerate_blocks(A_grid, size):
                      for i in range(n)]) < len(subset):
                 bad.add((subset, block))
     return bad
+
+
+def sample_draws(n, zeros, bound, seed, retries=1000):
+    """Seeded family draws, up to and including the first nonsingular one.
+
+    Each draw fills an n x n grid row by row with
+    ``random.Random(seed).randint(-bound, bound)``, leaving the 1-based
+    positions in ``zeros`` at 0 without drawing; a draw is kept when
+    :func:`det_cofactor` is nonzero.  Returns every draw made.
+    """
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(retries):
+        grid = [[0 if (i + 1, j + 1) in zeros else rng.randint(-bound, bound)
+                 for j in range(n)] for i in range(n)]
+        draws.append(grid)
+        if det_cofactor(grid) != 0:
+            return draws
+    raise AssertionError("no nonsingular draw")

@@ -306,16 +306,19 @@ def test_criterion_10_property_suites():
         if not cof.is_valid:
             continue
         done += 1
-        sx, sy = cof.omega_x[0], cof.omega_y[0]
-        for fx, fy in zip(cof.omega_x[1:], cof.omega_y[1:]):
+        # omega_b^1 = -A[b][1] dx^b, omega_b^2 = B[1][b] dy_b
+        omega_x = [web.dx(b).scale(-web.A[b - 1, 0]) for b in (1, 2, 3)]
+        omega_y = [web.dy(b).scale(web.B[0, b - 1]) for b in (1, 2, 3)]
+        sx, sy = omega_x[0], omega_y[0]
+        for fx, fy in zip(omega_x[1:], omega_y[1:]):
             sx, sy = sx + fx, sy + fy
         assert sx == -web.dx(4) and sy == -web.dy(4)
         for a in (5, 6):
             u, v = expand_foliation(web, cof, a)
-            rx, ry = cof.omega_x[0].scale(u[0]), cof.omega_y[0].scale(v[0])
+            rx, ry = omega_x[0].scale(u[0]), omega_y[0].scale(v[0])
             for b in (1, 2):
-                rx = rx + cof.omega_x[b].scale(u[b])
-                ry = ry + cof.omega_y[b].scale(v[b])
+                rx = rx + omega_x[b].scale(u[b])
+                ry = ry + omega_y[b].scale(v[b])
             assert rx == -web.dx(a) and ry == -web.dy(a)
 
     # scale invariance of the compatibility verdict

@@ -2,8 +2,11 @@
 
 A survey reads only verdicts, so it must row-reduce nothing and wedge
 nothing: the relation space comes from the support of A and witnesses are
-derived only when read.  A rendered analysis row-reduces once per
-degenerate block, for that block's witness, and nowhere else.
+derived only when read.  Its general position is an early-exit minor scan,
+so it builds no minor table and runs no audit; each draw is inverted once,
+and the only determinants are the three published 3x3 forms.  A rendered
+analysis row-reduces once per degenerate block, for that block's witness,
+and nowhere else.
 """
 
 import sys
@@ -11,29 +14,49 @@ import sys
 import pytest
 
 import linearwebs
-from linearwebs import FamilySpec, RatMatrix, analyze, forms, survey
+from linearwebs import FamilySpec, RatMatrix, analyze, forms, survey, webmodel
+from linearwebs.families import derive_seed
+from oracles import sample_draws
+
+
+def _counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_method(monkeypatch, counts, name):
+    monkeypatch.setattr(RatMatrix, name, _counted(counts, name, getattr(RatMatrix, name)))
+
+
+def _count_function(monkeypatch, counts, name, original):
+    """Count calls to a module-level function through every binding of it."""
+    wrapper = _counted(counts, name, original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "linearwebs" or module_name.startswith("linearwebs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls to RatMatrix.kernel_basis and forms.wedge, wherever bound."""
     counts = {"kernel_basis": 0, "wedge": 0}
+    _count_method(monkeypatch, counts, "kernel_basis")
+    _count_function(monkeypatch, counts, "wedge", forms.wedge)
+    return counts
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(RatMatrix, "kernel_basis",
-                        counted("kernel_basis", RatMatrix.kernel_basis))
-    original_wedge = forms.wedge
-    wrapped_wedge = counted("wedge", original_wedge)
-    for name, module in list(sys.modules.items()):
-        if name == "linearwebs" or name.startswith("linearwebs."):
-            for attr, value in list(vars(module).items()):
-                if value is original_wedge:
-                    monkeypatch.setattr(module, attr, wrapped_wedge)
+@pytest.fixture
+def survey_calls(monkeypatch):
+    """Count the minor table, the audit, det and inverse, wherever bound."""
+    counts = {"minor_table": 0, "general_position_audit": 0, "det": 0, "inverse": 0}
+    for name in ("minor_table", "det", "inverse"):
+        _count_method(monkeypatch, counts, name)
+    _count_function(monkeypatch, counts, "general_position_audit",
+                    webmodel.general_position_audit)
     return counts
 
 
@@ -46,6 +69,25 @@ def test_counters_see_the_calls(calls):
 def test_survey_row_reduces_and_wedges_nothing(calls):
     survey(FamilySpec("B6"), 20, seed=11)
     assert calls == {"kernel_basis": 0, "wedge": 0}
+
+
+def test_survey_counters_see_the_calls(survey_calls):
+    analyze(linearwebs.example_web(1).A)
+    assert survey_calls == {"minor_table": 1, "general_position_audit": 1,
+                            "det": 3, "inverse": 2}
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("generic"), FamilySpec("B6"),
+                                  FamilySpec("B7", entry_bound=1)],
+                         ids=["generic", "B6", "B7-box-1"])
+def test_survey_scans_minors_and_inverts_once_per_draw(survey_calls, spec):
+    # in the box [-1, 1] a B7 draw is often singular, so draws outnumber webs
+    survey(spec, 20, seed=11)
+    draws = sum(len(sample_draws(spec.n, spec.constraints, spec.entry_bound,
+                                 derive_seed(11, i))) for i in range(20))
+    assert spec.entry_bound != 1 or draws > 20
+    assert survey_calls == {"minor_table": 0, "general_position_audit": 0,
+                            "det": 3 * 20, "inverse": draws}
 
 
 def test_analysis_reduces_once_per_degenerate_block(calls):

@@ -7,6 +7,7 @@ from linearwebs import (FamilySpec, RatMatrix, abelian_residual, build_web,
                         parallelizability_report, relation_space,
                         sample_family, sample_matrix, survey)
 from linearwebs.families import derive_seed
+from oracles import sample_draws
 
 
 class TestExamples:
@@ -70,6 +71,20 @@ class TestSampling:
     def test_determinism(self):
         spec = FamilySpec("generic")
         assert sample_matrix(spec, 123) == sample_matrix(spec, 123)
+
+    @pytest.mark.parametrize("spec", [FamilySpec("generic", n=3, entry_bound=1),
+                                      FamilySpec("B7", entry_bound=1)])
+    def test_matches_det_based_reference(self, spec):
+        # a draw is rejected when its inverse fails, the reference rejects
+        # it when its cofactor determinant is 0: the kept draws must agree
+        singular = 0
+        for i in range(40):
+            seed = derive_seed(17, i)
+            draws = sample_draws(spec.n, spec.constraints, spec.entry_bound, seed)
+            singular += len(draws) - 1
+            assert sample_family(spec, seed).A == RatMatrix(draws[-1])
+            assert sample_matrix(spec, seed) == RatMatrix(draws[-1])
+        assert singular >= 20
 
 
 class TestGeneralOrder:

@@ -205,6 +205,20 @@ class TestMinor:
         assert augmented(A1).minor_table()[(0, 1, 2), (1, 2, 5)] == 0
         assert augmented(A2).minor_table()[(0, 1, 2), (0, 1, 3)] == 1
 
+    def test_nonzero_scan_stops_at_the_requested_order(self):
+        M = RatMatrix([[1, 2, 1], [2, 4, 3], ["1/2", 5, 7]])  # rows 1, 2 of cols 1, 2: 0
+        assert M.minors_nonzero(0) and M.minors_nonzero(1)
+        assert not M.minors_nonzero(2) and not M.minors_nonzero(3)
+        assert not RatMatrix([[1, 0], [2, 3]]).minors_nonzero(1)
+
+    @given(sparse_rational_rectangles(max_rows=4, max_cols=4))
+    def test_nonzero_scan_matches_the_table(self, grid):
+        M = RatMatrix(grid)
+        table = M.minor_table()
+        for order in range(min(M.rows, M.cols) + 1):
+            expected = all(v for (rows, _), v in table.items() if 1 <= len(rows) <= order)
+            assert M.minors_nonzero(order) == expected
+
 
 class TestArithmetic:
     def test_shape_errors(self):

@@ -196,6 +196,12 @@ class TestAuditProperties:
             assert any(d.dependency) and combo.is_zero
 
     @given(sparse_rational_webs())
+    def test_in_general_position_agrees_with_audit_and_oracle(self, web):
+        grid = [list(row) for row in web.A.entries()]
+        clean = not enumerate_degenerate_blocks(grid, web.n)
+        assert web.in_general_position == general_position_audit(web).general_position == clean
+
+    @given(sparse_rational_webs())
     def test_minor_table_matches_cofactor_oracle(self, web):
         n = web.n
         assert len(web.minors) == comb(2 * n, n)
@@ -238,6 +244,14 @@ class TestOrderLimit:
     def test_identity_10_raises(self):
         with pytest.raises(ValueError):
             general_position_audit(build_web(RatMatrix.identity(10)))
+
+    def test_in_general_position_refuses_like_the_table(self):
+        web = build_web(RatMatrix.identity(MAX_ORDER + 1))
+        with pytest.raises(ValueError, match="MAX_ORDER") as scan:
+            web.in_general_position
+        with pytest.raises(ValueError, match="MAX_ORDER") as table:
+            web.minors
+        assert str(scan.value) == str(table.value)
 
     def test_family_spec_bounds_the_order(self):
         assert FamilySpec(n=MAX_ORDER).n == MAX_ORDER
