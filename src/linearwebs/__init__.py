@@ -21,11 +21,11 @@ from .coframe import (AdaptedCoframe, AffinorEntry, AffinorTable,
                       CoframeDegenerateError, adapted_coframe, basis_affinors,
                       expand_foliation)
 from .agw import (AgwReport, Condition7Result, MinorWitness, affinor_comparison,
-                  agw_search, agw_test, cleared_minors, condition7_residual,
-                  literal_det, proportionality_minors)
+                  agw_test, cleared_minors, condition7_residual, literal_det,
+                  proportionality_minors)
 from .parallel import ParallelReport, parallelizability_report
 from .families import (FamilySpec, SampleRecord, SurveyStats, derive_seed,
-                       example_web, sample_family, sample_matrix, survey)
+                       example_web, orthogonal_web, sample_family, survey)
 from .analysis import (AnalysisBundle, CheckResult, CompatNote,
                        ReferenceAuditReport, analyze, reference_audit)
 
@@ -43,11 +43,11 @@ __all__ = [
     "AdaptedCoframe", "AffinorEntry", "AffinorTable", "CoframeDegenerateError",
     "adapted_coframe", "basis_affinors", "expand_foliation",
     "AgwReport", "Condition7Result", "MinorWitness", "affinor_comparison",
-    "agw_search", "agw_test", "cleared_minors", "condition7_residual",
+    "agw_test", "cleared_minors", "condition7_residual",
     "literal_det", "proportionality_minors",
     "ParallelReport", "parallelizability_report",
     "FamilySpec", "SampleRecord", "SurveyStats", "derive_seed", "example_web",
-    "sample_family", "sample_matrix", "survey",
+    "orthogonal_web", "sample_family", "survey",
     "AnalysisBundle", "CheckResult", "CompatNote", "ReferenceAuditReport",
     "analyze", "reference_audit",
     "__version__",

@@ -19,6 +19,19 @@ fail), so the verdict is then "indeterminate" -- except for diagonal
 matrices, whose webs split as direct products and are compatible by
 construction.
 
+Webs whose rows are orthogonal under a diagonal form are compatible when
+their gauge is valid.  Let A D A^T = Delta with D and Delta nonsingular
+diagonal.  Then B = D A^T Delta^-1, so A[b][c] = Delta_b B[c][b] / D_c.
+Substituted into P(a; b, g), both terms become
+
+    Delta_b Delta_g B[c][b] B[c][g] B[1][b] B[1][g] / (D_c D_1),
+
+so every cleared minor vanishes, whatever the gauge.  With a valid gauge,
+u_b = A[b][c] / A[b][1] and v_b = B[c][b] / B[1][b], so each
+proportionality minor is P(a; b, g) / (A[b][1] A[g][1] B[1][b] B[1][g]) = 0
+and the verdict is AGW.
+:func:`linearwebs.families.orthogonal_web` builds such webs.
+
 This module also transcribes, verbatim, the published 3x3 determinant
 conditions (three allegedly equivalent forms) and the published affinor
 formulas, purely so they can be compared against the derived quantities;
@@ -28,14 +41,13 @@ decide a verdict.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .coframe import AffinorTable
 from .ratlin import RatMatrix, format_rational
-from .webmodel import LinearWeb, build_web
+from .webmodel import LinearWeb
 
 __all__ = [
     "MinorWitness",
@@ -50,7 +62,6 @@ __all__ = [
     "AffinorComparison",
     "affinor_comparison",
     "condition7_residual",
-    "agw_search",
 ]
 
 AGW = "AGW"
@@ -346,82 +357,3 @@ def condition7_residual(table: AffinorTable) -> Condition7Result:
     s61, s62 = scalars[(6, 1)], scalars[(6, 2)]
     residual = s51 * s62 * (1 - s52 - s61) - s52 * s61 * (1 - s51 - s62)
     return Condition7Result("evaluated", residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# witness search
-
-
-def _diagonal_candidates(n: int, bound: int):
-    # diag(1, 2, .., n) style ladders first, then uniform diagonals
-    base = [i % bound + 1 for i in range(n)]
-    yield RatMatrix([[Fraction(base[i]) if i == j else Fraction(0)
-                      for j in range(n)] for i in range(n)])
-    for d in range(1, bound + 1):
-        yield RatMatrix([[Fraction(d) if i == j else Fraction(0)
-                          for j in range(n)] for i in range(n)])
-
-
-def _symmetric_candidates(bound: int):
-    # Symmetric 3x3 grids [[1,1,1],[1,p,q],[1,q,p]] with 2pq = p + q: both
-    # upper foliations then expand with proportional u and v, so every
-    # candidate here has a chance to verify; p in {0, 1/2, 1} is singular.
-    for p_num in range(2, 4 * bound):
-        for p in (Fraction(p_num), Fraction(-p_num), Fraction(1, p_num), Fraction(-1, p_num)):
-            if p in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                continue
-            q = p / (2 * p - 1)
-            entries = [Fraction(1), p, q]
-            if any(abs(e.numerator) > bound or e.denominator > bound for e in entries):
-                continue
-            yield RatMatrix([[1, 1, 1], [1, p, q], [1, q, p]])
-
-
-def _random_candidates(n: int, bound: int, rng: random.Random):
-    while True:
-        yield RatMatrix([[rng.randint(-bound, bound) for _ in range(n)]
-                         for _ in range(n)])
-
-
-def agw_search(n: int = 3, entry_bound: int = 9, budget: int = 500,
-               seed: int = 0, require_defined_scalars: bool = False,
-               require_nonzero_entries: bool = False) -> Optional[RatMatrix]:
-    """Search small-entry matrices for a compatible (AGW) web.
-
-    Candidates are drawn deterministically: diagonal matrices (guaranteed
-    direct-product witnesses), then for n = 3 a symmetric family whose
-    cross ratio forces proportional expansions, then seeded random fill.
-    Every candidate is verified through :func:`agw_test` before it is
-    returned; ``budget`` caps the number of candidates examined.  Returns
-    None when the budget is exhausted.
-    """
-    if budget <= 0:
-        return None
-    rng = random.Random(seed)
-    streams = [_diagonal_candidates(n, entry_bound)]
-    if n == 3:
-        streams.append(_symmetric_candidates(entry_bound))
-    streams.append(_random_candidates(n, entry_bound, rng))
-
-    examined = 0
-    for stream in streams:
-        for A in stream:
-            if examined >= budget:
-                return None
-            examined += 1
-            if require_nonzero_entries and any(
-                    A[i, j] == 0 for i in range(n) for j in range(n)):
-                continue
-            if A.det() == 0:
-                continue
-            web = build_web(A)
-            report = agw_test(web)
-            if report.verdict != AGW:
-                continue
-            if require_defined_scalars:
-                table = web.affinors
-                if not (table.gauge_status == "valid" and table.fully_defined
-                        and table.all_consistent):
-                    continue
-            return A
-    return None

@@ -35,9 +35,12 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-ORDER_LIMIT_HELP = (f"orders above {MAX_ORDER} are rejected: the audit walks all "
-                    f"C(2n, n) foliation subsets, about 1 s per web at n = 9 "
-                    f"and 5 s at n = 10")
+ANALYZE_ORDER_HELP = (f"orders above {MAX_ORDER} are rejected: the audit walks all "
+                      f"C(2n, n) foliation subsets and builds a table of as many "
+                      f"minors, about 1 s per matrix at n = 9 and 5 s at n = 10")
+SURVEY_ORDER_HELP = (f"orders above {MAX_ORDER} are rejected: each web's minors of "
+                     f"order 1..n-1 are scanned, 48,618 of them at n = 9, about "
+                     f"0.04 s per web in general position")
 
 
 class _UsageError(Exception):
@@ -113,8 +116,11 @@ def _emit(result, args) -> None:
     except ValueError as exc:
         raise _UsageError(f"cannot print the result: {exc}") from exc
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -177,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the report to FILE instead of stdout")
 
     p = sub.add_parser("analyze", help="full analysis of one matrix",
-                       description=f"Full analysis of one matrix; {ORDER_LIMIT_HELP}.")
+                       description=f"Full analysis of one matrix; {ANALYZE_ORDER_HELP}.")
     p.add_argument("matrix", help="JSON or CSV matrix file")
     common(p)
     p.set_defaults(func=_cmd_analyze)
@@ -196,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="generic",
                    choices=sorted(FAMILY_CONSTRAINTS))
     p.add_argument("--n", type=int, default=3,
-                   help=f"order of the sampled matrices; {ORDER_LIMIT_HELP}")
+                   help=f"order of the sampled matrices; {SURVEY_ORDER_HELP}")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=9,

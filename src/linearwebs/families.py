@@ -1,4 +1,4 @@
-"""Parameter families, example webs, and seeded genericity surveys.
+"""Parameter families, example webs, constructed AGW webs, and seeded surveys.
 
 The named families fix zero entries of A (1-based positions):
 
@@ -18,6 +18,8 @@ import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .abelian import relation_space
@@ -32,8 +34,8 @@ __all__ = [
     "SampleRecord",
     "SurveyStats",
     "example_web",
-    "sample_matrix",
     "sample_family",
+    "orthogonal_web",
     "survey",
     "derive_seed",
 ]
@@ -109,9 +111,47 @@ def sample_family(spec: FamilySpec, seed: int) -> LinearWeb:
                        f"(family {spec.name}, bound {spec.entry_bound})")
 
 
-def sample_matrix(spec: FamilySpec, seed: int) -> RatMatrix:
-    """The defining matrix of :func:`sample_family` for the same seed."""
-    return sample_family(spec, seed).A
+def orthogonal_web(n: int, seed: int, entry_bound: int = 9) -> LinearWeb:
+    """Deterministic-for-seed AGW web whose rows are orthogonal under a diagonal form.
+
+    Draws a diagonal D with nonzero entries and n rows from the box
+    [-entry_bound, entry_bound], orthogonalizes the rows exactly in
+    <v, w> = sum_i v_i D_i w_i (Gram-Schmidt), and scales each row to a
+    primitive integer vector, so A D A^T stays diagonal.  A draw with an
+    isotropic row, or whose A or B has a zero entry, is retried; the web
+    returned has a valid gauge and a fully defined affinor table, and is AGW
+    (the proof is in :mod:`linearwebs.agw`).
+    """
+    FamilySpec(n=n, entry_bound=entry_bound)  # the same order and box checks
+    rng = random.Random(seed)
+    nonzero = [k for k in range(-entry_bound, entry_bound + 1) if k]
+    for _ in range(_SAMPLE_RETRIES):
+        D = [rng.choice(nonzero) for _ in range(n)]
+        rows, norms = [], []
+        for _ in range(n):
+            v = [Fraction(rng.randint(-entry_bound, entry_bound)) for _ in range(n)]
+            for w, norm in zip(rows, norms):
+                t = sum(x * d * y for x, d, y in zip(v, D, w)) / norm
+                v = [x - t * y for x, y in zip(v, w)]
+            norm = sum(d * x * x for d, x in zip(D, v))
+            if norm == 0:
+                break
+            rows.append(v)
+            norms.append(norm)
+        else:
+            web = build_web(RatMatrix([_primitive(v) for v in rows]))
+            if all(x != 0 for M in (web.A, web.B) for row in M.entries() for x in row):
+                return web
+    raise RuntimeError(f"no orthogonal web without zero entries found in "
+                       f"{_SAMPLE_RETRIES} draws (n = {n}, bound {entry_bound})")
+
+
+def _primitive(v: list) -> list:
+    """The integer multiple of a nonzero rational vector with coprime entries."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    content = gcd(*ints)
+    return [x // content for x in ints]
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,6 @@ class Chart:
         coeffs[i] = Fraction(1)
         return OneForm(self, tuple(coeffs))
 
-    def zero_one_form(self) -> "OneForm":
-        return OneForm(self, (Fraction(0),) * self.dim)
-
     def zero_two_form(self) -> "TwoForm":
         return TwoForm(self, (Fraction(0),) * len(self.pairs()))
 
@@ -108,13 +105,6 @@ class OneForm:
     def __add__(self, other: "OneForm") -> "OneForm":
         _check_chart(self, other)
         return OneForm(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        _check_chart(self, other)
-        return OneForm(self.chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.chart, tuple(-a for a in self.coeffs))
 
     def scale(self, c) -> "OneForm":
         c = rational(c)
@@ -165,24 +155,9 @@ class TwoForm:
         _check_chart(self, other)
         return TwoForm(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        _check_chart(self, other)
-        return TwoForm(self.chart, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(self.chart, tuple(-a for a in self.coeffs))
-
     def scale(self, c) -> "TwoForm":
         c = rational(c)
         return TwoForm(self.chart, tuple(c * a for a in self.coeffs))
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        """Coefficient on the (i, j) basis pair, antisymmetrized for i > j."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.coeffs[self.chart.pair_index(i, j)]
-        return -self.coeffs[self.chart.pair_index(j, i)]
 
     def to_json(self) -> dict:
         out = {}

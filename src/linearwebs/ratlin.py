@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "RatMatrix",
@@ -194,16 +194,6 @@ class RatMatrix:
         cols = [other.col(j) for j in range(other.cols)]
         return RatMatrix([[sum(a * b for a, b in zip(row, col))
                            for col in cols] for row in self._grid])
-
-    def scale(self, c) -> "RatMatrix":
-        c = rational(c)
-        return RatMatrix([[c * x for x in row] for row in self._grid])
-
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ShapeError("vector length does not match column count")
-        vec = [rational(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._grid)
 
     def is_diagonal(self) -> bool:
         return self.is_square and all(

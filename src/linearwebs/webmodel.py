@@ -346,9 +346,6 @@ class AuditReport:
     def pairwise_transversal(self) -> bool:
         return not self.pairwise_degenerate
 
-    def strict_failures(self) -> set:
-        return {(d.foliations, d.block) for d in self.strict_degenerate}
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

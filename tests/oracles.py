@@ -159,3 +159,21 @@ def sample_draws(n, zeros, bound, seed, retries=1000):
         if det_cofactor(grid) != 0:
             return draws
     raise AssertionError("no nonsingular draw")
+
+
+def agw_by_orthogonality(grid) -> bool:
+    """AGW by diagonal orthogonality of the rows of A.
+
+    A web with a valid gauge is AGW exactly when A D A^T is diagonal for
+    some nonsingular diagonal D, that is, when the kernel of H, the
+    C(n,2) x n matrix whose rows are the entrywise products A_b * A_g
+    (b < g), holds a vector with no zero coordinate.  Over Q that holds
+    exactly when no coordinate vanishes on the whole :func:`kernel`.
+    """
+    n = len(grid)
+    H = [[Fraction(grid[b][i]) * Fraction(grid[g][i]) for i in range(n)]
+         for b, g in combinations(range(n), 2)]
+    if not H:
+        return True  # n = 1: every D works
+    basis = kernel(H)
+    return all(any(v[i] != 0 for v in basis) for i in range(n))

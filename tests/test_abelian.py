@@ -27,7 +27,7 @@ class TestNormals:
         web = build_web(RatMatrix.identity(3))
         # dy_1 = -dy_4, so the first normal is dx1 ^ (-dy4)
         expected = wedge(web.chart.basis_one_form(0),
-                         -web.chart.basis_one_form(3))
+                         web.chart.basis_one_form(3).scale(-1))
         assert normals(web)[0] == expected
 
     def test_example_1_sixth_normal(self):
@@ -35,7 +35,7 @@ class TestNormals:
         # from the closed form: dx6 = dx2 + dx3 and dy6 = dy1 - dy2
         chart = web.chart
         dx6 = chart.basis_one_form(1) + chart.basis_one_form(2)
-        dy6 = web.dy(1) - web.dy(2)
+        dy6 = web.dy(1) + web.dy(2).scale(-1)
         assert normals(web)[5] == wedge(dx6, dy6)
 
 

@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from linearwebs import (RatMatrix, affinor_comparison, agw_search, agw_test,
+from linearwebs import (MAX_ORDER, RatMatrix, affinor_comparison, agw_test,
                         basis_affinors, build_web, cleared_minors,
                         condition7_residual, example_web,
-                        general_position_audit, literal_det,
+                        general_position_audit, literal_det, orthogonal_web,
                         proportionality_minors)
 from linearwebs.coframe import AffinorEntry, AffinorTable
+
+from oracles import agw_by_orthogonality
+from strategies import sparse_rational_webs
 
 # gauge-valid compatible web: symmetric with off-diagonal cross ratio
 WITNESS = RatMatrix([[1, 1, 1],
@@ -85,7 +90,8 @@ class TestVerdicts:
         for _ in range(100):
             web = rand_web(rng)
             c = rng.choice(scales)
-            scaled = build_web(web.A.scale(c))
+            scaled = build_web(RatMatrix([[c * x for x in row]
+                                          for row in web.A.entries()]))
             assert agw_test(web).verdict == agw_test(scaled).verdict
 
 
@@ -112,8 +118,9 @@ class TestLiteralDets:
             literal_det(example_web(1), "diagonal")
 
     def test_right_form_vanishes_at_witnesses(self):
-        # observed: the right and middle transcriptions vanish on the
-        # compatible locus, the left one does not (evidence of a misprint)
+        # observed on this symmetric web: the right and middle
+        # transcriptions vanish, the left one does not; on constructed webs
+        # only the right one vanishes (TestOrthogonalWeb)
         web = build_web(WITNESS)
         assert literal_det(web, "right") == 0
         assert literal_det(web, "middle") == 0
@@ -191,38 +198,82 @@ class TestCondition7:
         result = condition7_residual(basis_affinors(example_web(2)))
         assert result.status == "not-applicable"
 
-    def test_zero_at_search_witnesses(self):
-        A = agw_search(require_defined_scalars=True)
-        assert A is not None
-        table = basis_affinors(build_web(A))
-        result = condition7_residual(table)
-        assert result.status == "evaluated"
-        assert result.residual == 0
+    def test_zero_at_constructed_webs(self):
+        for seed in range(10):
+            result = condition7_residual(basis_affinors(orthogonal_web(3, seed)))
+            assert result.status == "evaluated"
+            assert result.residual == 0
 
 
-class TestSearch:
-    def test_diagonal_found_immediately(self):
-        A = agw_search()
-        assert A is not None
-        assert A.is_diagonal()
-        assert A == RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+class TestOrthogonalWeb:
+    def test_deterministic_for_seed(self):
+        assert orthogonal_web(4, 11).A == orthogonal_web(4, 11).A
+        assert orthogonal_web(4, 11).A != orthogonal_web(4, 12).A
 
-    def test_budget_zero_returns_none(self):
-        assert agw_search(budget=0) is None
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+    def test_valid_gauge_and_agw_at_every_order(self, n):
+        report = agw_test(orthogonal_web(n, n))
+        assert report.gauge_status == "valid"
+        assert report.verdict == "AGW"
+        assert not report.witnesses
 
-    def test_nonzero_entry_witness_verifies(self):
-        A = agw_search(require_nonzero_entries=True)
-        assert A is not None
-        assert all(A[i, j] != 0 for i in range(3) for j in range(3))
-        assert agw_test(build_web(A)).verdict == "AGW"
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+    def test_no_zero_entry_in_A_or_B(self, n):
+        web = orthogonal_web(n, n)
+        for M in (web.A, web.B):
+            assert all(x != 0 for row in M.entries() for x in row)
+        assert all(x.denominator == 1 for row in web.A.entries() for x in row)
 
-    def test_witnesses_satisfy_right_form(self):
-        # one-directional zero-set check on the published right form
-        for kwargs in ({}, {"require_defined_scalars": True},
-                       {"require_nonzero_entries": True}):
-            A = agw_search(**kwargs)
-            assert A is not None
-            assert literal_det(build_web(A), "right") == 0
+    def test_rows_are_orthogonal_under_a_diagonal_form(self):
+        # A D A^T diagonal: the entrywise product of two rows of A is
+        # orthogonal to the diagonal of D
+        for n in range(1, 6):
+            for seed in range(5):
+                grid = [list(row) for row in orthogonal_web(n, seed).A.entries()]
+                assert agw_by_orthogonality(grid)
 
-    def test_tiny_budget_skips_to_none(self):
-        assert agw_search(budget=1, require_defined_scalars=True) is None
+    def test_defined_consistent_scalars_at_order_3(self):
+        for seed in range(10):
+            table = orthogonal_web(3, seed).affinors
+            assert table.fully_defined and table.all_consistent
+
+    def test_right_form_vanishes(self):
+        # on these constructed webs only the published right form vanishes
+        for seed in range(10):
+            web = orthogonal_web(3, seed)
+            assert literal_det(web, "right") == 0
+            assert literal_det(web, "middle") != 0
+            assert literal_det(web, "left") != 0
+
+    def test_box_and_order_checked(self):
+        for args in ((0, 0), (MAX_ORDER + 1, 0), (3, 0, 0)):
+            with pytest.raises(ValueError):
+                orthogonal_web(*args)
+
+
+class TestOrthogonalityOracle:
+    @given(sparse_rational_webs(max_n=4))
+    def test_equals_verdict_when_gauge_valid(self, web):
+        grid = [list(row) for row in web.A.entries()]
+        if web.coframe.is_valid:
+            assert agw_by_orthogonality(grid) == (agw_test(web).verdict == "AGW")
+
+    @given(sparse_rational_webs(max_n=4))
+    def test_never_true_when_not_agw(self, web):
+        grid = [list(row) for row in web.A.entries()]
+        if agw_test(web).verdict == "not-AGW":
+            assert not agw_by_orthogonality(grid)
+
+    @given(sparse_rational_webs(max_n=4), st.data())
+    def test_invariant_under_permutations_and_diagonal_scaling(self, web, data):
+        n = web.n
+        grid = [list(row) for row in web.A.entries()]
+        rows = data.draw(st.permutations(range(n)))
+        cols = data.draw(st.permutations(range(n)))
+        nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+        d1 = [data.draw(nonzero) for _ in range(n)]
+        d2 = [data.draw(nonzero) for _ in range(n)]
+        permuted = [[grid[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
+        scaled = [[d1[i] * grid[i][j] * d2[j] for j in range(n)] for i in range(n)]
+        assert agw_by_orthogonality(permuted) == agw_by_orthogonality(grid)
+        assert agw_by_orthogonality(scaled) == agw_by_orthogonality(grid)

@@ -236,3 +236,30 @@ def test_survey_order_above_limit_exits_2(capsys):
     code, out, err = run(capsys, "survey", "--n", str(MAX_ORDER + 1), "--count", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and f"MAX_ORDER = {MAX_ORDER}" in err
+
+
+def test_analyze_out_to_missing_directory_exits_2(matrix_file, tmp_path, capsys):
+    path = matrix_file([[1, 1, 0], [1, 1, 1], [1, 2, 1]])
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "analyze", path, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write ")
+    assert not target.exists()
+
+
+def test_verify_paper_out_to_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "verify-paper", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write ")
+
+
+@pytest.mark.parametrize("command, reason, absent", [
+    ("analyze", "the audit walks all C(2n, n) foliation subsets", "minors of order 1..n-1"),
+    ("survey", "minors of order 1..n-1 are scanned", "audit"),
+])
+def test_order_limit_help_gives_each_command_its_cost(capsys, command, reason, absent):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert reason in text and absent not in text

@@ -57,8 +57,8 @@ class TestAdaptedCoframe:
                 total_x = total_x + f
             for f in omega_y[1:]:
                 total_y = total_y + f
-            assert total_x == -web.dx(web.n + 1)
-            assert total_y == -web.dy(web.n + 1)
+            assert total_x == web.dx(web.n + 1).scale(-1)
+            assert total_y == web.dy(web.n + 1).scale(-1)
 
 
 class TestExpandFoliation:
@@ -99,8 +99,8 @@ class TestExpandFoliation:
                 for b in range(1, web.n):
                     rx = rx + omega_x[b].scale(u[b])
                     ry = ry + omega_y[b].scale(v[b])
-                assert rx == -web.dx(a)
-                assert ry == -web.dy(a)
+                assert rx == web.dx(a).scale(-1)
+                assert ry == web.dy(a).scale(-1)
 
 
 class TestBasisAffinors:

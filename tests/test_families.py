@@ -5,7 +5,7 @@ import pytest
 from linearwebs import (FamilySpec, RatMatrix, abelian_residual, build_web,
                         example_web, general_position_audit,
                         parallelizability_report, relation_space,
-                        sample_family, sample_matrix, survey)
+                        sample_family, survey)
 from linearwebs.families import derive_seed
 from oracles import sample_draws
 
@@ -41,14 +41,14 @@ class TestSampling:
     def test_b8_zero_pattern(self):
         spec = FamilySpec("B8")
         for seed in range(30):
-            A = sample_matrix(spec, derive_seed(1, seed))
+            A = sample_family(spec, derive_seed(1, seed)).A
             assert A[0, 2] == 0
             assert A.det() != 0
 
     def test_b6_zero_pattern(self):
         spec = FamilySpec("B6")
         for seed in range(30):
-            A = sample_matrix(spec, derive_seed(2, seed))
+            A = sample_family(spec, derive_seed(2, seed)).A
             assert A[0, 2] == 0 and A[1, 0] == 0 and A[2, 1] == 0
             assert A.det() != 0
 
@@ -61,7 +61,7 @@ class TestSampling:
         spec = FamilySpec("generic", n=2, entry_bound=1)
         seen = set()
         for seed in range(60):
-            A = sample_matrix(spec, seed)
+            A = sample_family(spec, seed).A
             assert A.det() != 0
             assert all(abs(A[i, j]) <= 1 for i in range(2) for j in range(2))
             seen.add(A)
@@ -70,7 +70,7 @@ class TestSampling:
 
     def test_determinism(self):
         spec = FamilySpec("generic")
-        assert sample_matrix(spec, 123) == sample_matrix(spec, 123)
+        assert sample_family(spec, 123).A == sample_family(spec, 123).A
 
     @pytest.mark.parametrize("spec", [FamilySpec("generic", n=3, entry_bound=1),
                                       FamilySpec("B7", entry_bound=1)])
@@ -83,7 +83,6 @@ class TestSampling:
             draws = sample_draws(spec.n, spec.constraints, spec.entry_bound, seed)
             singular += len(draws) - 1
             assert sample_family(spec, seed).A == RatMatrix(draws[-1])
-            assert sample_matrix(spec, seed) == RatMatrix(draws[-1])
         assert singular >= 20
 
 
@@ -141,8 +140,7 @@ class TestSurvey:
         stats = survey(spec, count=200, seed=7)
         assert stats.not_agw >= 180
         for i in range(200):
-            A = sample_matrix(spec, derive_seed(7, i))
-            web = build_web(A)
+            web = sample_family(spec, derive_seed(7, i))
             from linearwebs import agw_test
             if agw_test(web).verdict != "not-AGW":
                 assert not general_position_audit(web).general_position
