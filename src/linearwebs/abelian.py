@@ -16,9 +16,8 @@ each connected component of the bipartite support graph of A: foliations
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .forms import TwoForm, wedge
 from .ratlin import format_rational, rational
@@ -49,8 +48,7 @@ def abelian_residual(web: LinearWeb, coefficients: Sequence) -> TwoForm:
     return total
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Dimension and basis of the constant relation space, against the bound."""
 
     n: int

@@ -41,9 +41,8 @@ decide a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coframe import AffinorTable
 from .ratlin import RatMatrix, format_rational
@@ -73,8 +72,7 @@ INDETERMINATE = "indeterminate"
 LITERAL_DET_FORMS = ("left", "middle", "right")
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """A nonzero proportionality minor: exact evidence against compatibility."""
 
     a: int
@@ -88,8 +86,7 @@ class MinorWitness:
                 "value": format_rational(self.value), "path": self.path}
 
 
-@dataclass(frozen=True)
-class Condition7Result:
+class Condition7Result(NamedTuple):
     """The scalar-affinor identity residual, when the four scalars exist."""
 
     status: str  # "evaluated" | "not-applicable"
@@ -102,8 +99,7 @@ class Condition7Result:
         return {"status": self.status, "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class AgwReport:
+class AgwReport(NamedTuple):
     """Verdict plus exact witnesses for the compatibility test."""
 
     n: int
@@ -283,8 +279,7 @@ def literal_affinor_value(web: LinearWeb, a: int, ahat: int, side: str) -> Optio
     return M[num[0][0] - 1, num[0][1] - 1] * M[num[1][0] - 1, num[1][1] - 1] / d
 
 
-@dataclass(frozen=True)
-class AffinorComparison:
+class AffinorComparison(NamedTuple):
     """Derived-vs-published value of one affinor scalar."""
 
     a: int

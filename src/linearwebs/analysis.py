@@ -15,9 +15,8 @@ misprints while the underlying mathematics stands).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .abelian import RankReport, abelian_residual, relation_space
 from .agw import NOT_AGW, AgwReport, affinor_comparison, agw_test
@@ -45,8 +44,7 @@ _SUM_READING_NOTE = (
     "is unsatisfiable for nondegenerate foliation pairs and is not used")
 
 
-@dataclass(frozen=True)
-class CompatNote:
+class CompatNote(NamedTuple):
     """One literal-vs-derived observation for the compatibility section."""
 
     topic: str
@@ -82,8 +80,7 @@ def _compat_notes(web: LinearWeb, agw_report: AgwReport) -> tuple:
     return tuple(notes)
 
 
-@dataclass(frozen=True)
-class AnalysisBundle:
+class AnalysisBundle(NamedTuple):
     """Every report for one web, all derived from the same LinearWeb instance."""
 
     matrix: RatMatrix
@@ -150,8 +147,7 @@ def analyze(A: RatMatrix) -> AnalysisBundle:
 # reference example audit
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named check: derived checks gate the exit code, literal ones do not."""
 
     name: str
@@ -171,8 +167,7 @@ class CheckResult:
         return f"  [{tag}] {self.name}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ExampleAudit:
+class ExampleAudit(NamedTuple):
     key: int
     bundle: AnalysisBundle
     checks: tuple
@@ -190,8 +185,7 @@ class ExampleAudit:
         }
 
 
-@dataclass(frozen=True)
-class ReferenceAuditReport:
+class ReferenceAuditReport(NamedTuple):
     examples: tuple
 
     @property

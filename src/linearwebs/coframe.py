@@ -26,9 +26,8 @@ entries of A and B they reduce to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .ratlin import format_rational
 
@@ -50,8 +49,7 @@ class CoframeDegenerateError(ValueError):
     """Raised when an operation requires a valid gauge but the coframe is degenerate."""
 
 
-@dataclass(frozen=True)
-class AdaptedCoframe:
+class AdaptedCoframe(NamedTuple):
     """The gauge status and the (u, v) ratios, or the exact list of vanishing gauge entries."""
 
     n: int
@@ -89,7 +87,7 @@ def adapted_coframe(web: LinearWeb) -> AdaptedCoframe:
         return AdaptedCoframe(n=n, status="degenerate", vanishing=vanishing)
     _check_sum_identity(web)
     cof = AdaptedCoframe(n=n, status="valid", vanishing=())
-    return replace(cof, expansions=tuple(
+    return cof._replace(expansions=tuple(
         expand_foliation(web, cof, a) for a in range(n + 2, 2 * n + 1)))
 
 
@@ -142,8 +140,7 @@ def _check_expansion(web, cof, a, u, v) -> None:
         raise AssertionError("coframe expansion identity violated")
 
 
-@dataclass(frozen=True)
-class AffinorEntry:
+class AffinorEntry(NamedTuple):
     """The diagonal affinor scalar pair for one (a, ahat) slot.
 
     ``x`` or ``y`` is None when the corresponding normalizer vanishes (or
@@ -174,8 +171,7 @@ class AffinorEntry:
         }
 
 
-@dataclass(frozen=True)
-class AffinorTable:
+class AffinorTable(NamedTuple):
     """Basis affinor scalars for every a in {n+2..2n}, ahat in {1..n-1}."""
 
     n: int

@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .abelian import relation_space
 from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test
 from .published import EXAMPLE_MATRICES
-from .ratlin import RatMatrix
+from .ratlin import Frozen, RatMatrix
 from .webmodel import MAX_ORDER, LinearWeb, WebConstructionError, build_web
 
 __all__ = [
@@ -50,26 +48,24 @@ FAMILY_CONSTRAINTS = {
 _SAMPLE_RETRIES = 1000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A sampling family: name, order, zero constraints, entry box."""
 
-    name: str = "generic"
-    n: int = 3
-    entry_bound: int = 9
+    __slots__ = ("name", "n", "entry_bound")
 
-    def __post_init__(self):
-        if self.name not in FAMILY_CONSTRAINTS:
-            raise ValueError(f"unknown family {self.name!r}; "
+    def __init__(self, name: str = "generic", n: int = 3, entry_bound: int = 9):
+        if name not in FAMILY_CONSTRAINTS:
+            raise ValueError(f"unknown family {name!r}; "
                              f"expected one of {sorted(FAMILY_CONSTRAINTS)}")
-        if self.name != "generic" and self.n != 3:
-            raise ValueError(f"family {self.name} is defined for n = 3 only")
-        if self.n < 1:
+        if name != "generic" and n != 3:
+            raise ValueError(f"family {name} is defined for n = 3 only")
+        if n < 1:
             raise ValueError("order must be at least 1")
-        if self.n > MAX_ORDER:
-            raise ValueError(f"order {self.n} is above the limit MAX_ORDER = {MAX_ORDER}")
-        if self.entry_bound < 1:
+        if n > MAX_ORDER:
+            raise ValueError(f"order {n} is above the limit MAX_ORDER = {MAX_ORDER}")
+        if entry_bound < 1:
             raise ValueError("entry bound must be at least 1")
+        self._set(name=name, n=n, entry_bound=entry_bound)
 
     @property
     def constraints(self) -> tuple:
@@ -154,8 +150,7 @@ def _primitive(v: list) -> list:
     return [x // content for x in ints]
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     """Log line for one survey sample that needs attention downstream."""
 
     index: int
@@ -170,8 +165,7 @@ class SampleRecord:
                 "agw_verdict": self.agw_verdict}
 
 
-@dataclass(frozen=True)
-class SurveyStats:
+class SurveyStats(NamedTuple):
     """Aggregated verdicts over a seeded family survey."""
 
     family: str
@@ -185,7 +179,7 @@ class SurveyStats:
     audit_clean: int
     relation_dim_histogram: dict
     left_det_zero: Optional[int]  # n = 3 only: samples with vanishing left form
-    anomalies: tuple = field(default_factory=tuple)  # relation dim >= 2 records
+    anomalies: tuple = ()  # relation dim >= 2 records
 
     def to_dict(self) -> dict:
         out = {
@@ -250,7 +244,11 @@ def survey(spec: FamilySpec, count: int, seed: int, jobs: int = 1) -> SurveyStat
     """
     if count <= 0:
         raise ValueError("sample count must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if jobs > 1:
+        # Imported here, so that `import linearwebs` loads no threading or logging.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
                 lambda i: _survey_one(spec, seed, i), range(count)))

@@ -11,11 +11,10 @@ an error, never a silent coercion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratlin import rational, format_rational
+from .ratlin import Frozen, rational, format_rational
 
 __all__ = [
     "Chart",
@@ -39,15 +38,21 @@ def _pair_index(dim: int) -> dict:
     return {p: k for k, p in enumerate(_pairs(dim))}
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """The 2n-dimensional chart carrying a web of order n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("chart order must be at least 1")
+        self._set(n=n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Chart) and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
     @property
     def dim(self) -> int:
@@ -84,31 +89,44 @@ def _check_chart(a, b) -> None:
             f"charts of order {a.chart.n} and {b.chart.n} cannot mix")
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """A 1-form with constant rational coefficients."""
+class _Form(Frozen):
+    """A chart and a coefficient tuple, compared and hashed by both."""
 
-    chart: Chart
-    coeffs: tuple
+    __slots__ = ("chart", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(rational(c) for c in self.coeffs)
-        if len(coeffs) != self.chart.dim:
-            raise ValueError(f"expected {self.chart.dim} coefficients, "
-                             f"got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, chart: Chart, coeffs, expected: int):
+        coeffs = tuple(rational(c) for c in coeffs)
+        if len(coeffs) != expected:
+            raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
+        self._set(chart=chart, coeffs=coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.chart == other.chart
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.coeffs))
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __add__(self, other: "OneForm") -> "OneForm":
+    def __add__(self, other):
         _check_chart(self, other)
-        return OneForm(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return type(self)(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, c) -> "OneForm":
+    def scale(self, c):
         c = rational(c)
-        return OneForm(self.chart, tuple(c * a for a in self.coeffs))
+        return type(self)(self.chart, tuple(c * a for a in self.coeffs))
+
+
+class OneForm(_Form):
+    """A 1-form with constant rational coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, chart: Chart, coeffs):
+        super().__init__(chart, coeffs, chart.dim)
 
     def to_json(self) -> dict:
         return {self.chart.form_label(i): format_rational(c)
@@ -133,31 +151,13 @@ class OneForm:
         return " ".join([head] + terms[1:])
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(_Form):
     """A 2-form with constant rational coefficients over ordered pairs."""
 
-    chart: Chart
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(rational(c) for c in self.coeffs)
-        expected = len(self.chart.pairs())
-        if len(coeffs) != expected:
-            raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        _check_chart(self, other)
-        return TwoForm(self.chart, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "TwoForm":
-        c = rational(c)
-        return TwoForm(self.chart, tuple(c * a for a in self.coeffs))
+    def __init__(self, chart: Chart, coeffs):
+        super().__init__(chart, coeffs, len(chart.pairs()))
 
     def to_json(self) -> dict:
         out = {}

@@ -13,9 +13,6 @@ webs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from .webmodel import LinearWeb
 
 __all__ = ["ParallelReport", "parallelizability_report"]
@@ -25,7 +22,6 @@ _CONSEQUENCES = ("forms_closed", "connection_zero", "torsion_zero",
                  "affinors_constant")
 
 
-@dataclass(frozen=True)
 class ParallelReport:
     """The structural parallelizability argument, as a report.
 
@@ -37,9 +33,10 @@ class ParallelReport:
     "parallelizable".
     """
 
-    verdict: ClassVar[str] = "parallelizable"
-    scope_note: ClassVar[str] = ("checks instantiate the constant-coefficient "
-                                 "family only; curved webs are out of scope")
+    __slots__ = ()
+    verdict = "parallelizable"
+    scope_note = ("checks instantiate the constant-coefficient "
+                  "family only; curved webs are out of scope")
 
     def to_dict(self) -> dict:
         out = dict.fromkeys(_CONSEQUENCES, True)

@@ -77,6 +77,28 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+class Frozen:
+    """Base of the immutable plain classes: ``__init__`` sets each attribute
+    once through :meth:`_set`, and a later assignment or deletion raises
+    ``AttributeError``.  ``cached_property`` still fills ``__dict__``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        """Restore a pickled or copied instance; ``state`` is a dict or ``(None, slots)``."""
+        self._set(**(state[1] if isinstance(state, tuple) else state))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
 def _eliminate(m: list, ncols: int) -> tuple:
     """Fraction-free Gauss-Jordan elimination of the integer rows ``m``, in place.
 

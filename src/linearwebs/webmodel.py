@@ -15,16 +15,15 @@ expressed in it and no coordinate change is ever performed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coframe import AdaptedCoframe, AffinorTable, adapted_coframe, basis_affinors
 from .forms import Chart, OneForm
-from .ratlin import RatMatrix, SingularMatrixError, format_rational, rational
+from .ratlin import Frozen, RatMatrix, SingularMatrixError, format_rational, rational
 
 __all__ = [
     "MAX_ORDER",
@@ -53,13 +52,11 @@ class WebConstructionError(ValueError):
     """Raised when the defining matrix cannot produce a web."""
 
 
-@dataclass(frozen=True)
-class LinearWeb:
+class LinearWeb(Frozen):
     """An immutable linear web: the matrix A, its exact inverse B, the chart."""
 
-    A: RatMatrix
-    B: RatMatrix
-    chart: Chart
+    def __init__(self, A: RatMatrix, B: RatMatrix, chart: Chart):
+        self._set(A=A, B=B, chart=chart)
 
     @property
     def n(self) -> int:
@@ -153,8 +150,7 @@ def build_web(A: RatMatrix) -> LinearWeb:
 # closed form equations
 
 
-@dataclass(frozen=True)
-class ClosedFormEquations:
+class ClosedFormEquations(NamedTuple):
     """Closed-form linear equations of the web.
 
     ``x_rows[a]`` holds the coefficients of x^{n+a+1} over (x^1 .. x^n),
@@ -275,17 +271,22 @@ def closed_form(web: LinearWeb) -> ClosedFormEquations:
 # general position audit
 
 
-@dataclass(frozen=True)
-class DegenerateBlock:
+class DegenerateBlock(Frozen):
     """One failed block test: the foliation subset, the block, a dependency.
 
     The dependency is derived from ``web`` the first time it is read; the
-    web takes no part in equality or the repr.
+    web takes no part in equality.
     """
 
-    foliations: tuple
-    block: str  # "x" or "y"
-    web: LinearWeb = field(repr=False, compare=False)
+    def __init__(self, foliations: tuple, block: str, web: LinearWeb):
+        self._set(foliations=foliations, block=block, web=web)  # block: "x" or "y"
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DegenerateBlock) and self.foliations == other.foliations
+                and self.block == other.block)
+
+    def __hash__(self) -> int:
+        return hash((self.foliations, self.block))
 
     @cached_property
     def dependency(self) -> tuple:
@@ -321,8 +322,7 @@ def _unit(n: int, i: int) -> list:
     return [int(k == i) for k in range(n)]
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of the general position audit.
 
     The strict test checks, for every n-subset S of the 2n foliations, that

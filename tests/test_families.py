@@ -119,6 +119,11 @@ class TestSurvey:
         with pytest.raises(ValueError):
             survey(FamilySpec("generic"), count=0, seed=1)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            survey(FamilySpec("generic"), count=3, seed=1, jobs=jobs)
+
     def test_counts_partition_samples(self):
         stats = survey(FamilySpec("generic"), count=50, seed=11)
         assert stats.not_agw + stats.agw + stats.indeterminate == 50
