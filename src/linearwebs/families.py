@@ -14,7 +14,6 @@ results are independent of evaluation order and of the --jobs level.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -81,6 +80,8 @@ def example_web(k: int) -> LinearWeb:
 
 def derive_seed(root: int, *path: int) -> int:
     """Deterministic per-sample seed from a root seed and an index path."""
+    import hashlib  # loaded on first use: ``analyze`` and ``verify-paper`` never sample
+
     text = "/".join(str(p) for p in (root, *path))
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

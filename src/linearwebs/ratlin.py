@@ -3,11 +3,10 @@
 Scalars are ``fractions.Fraction`` values (arbitrary precision, always
 reduced, positive denominator).  ``RatMatrix`` is an immutable dense grid of
 such scalars.  Its determinant, inverse and kernel basis share one integer
-fraction-free Gauss-Jordan elimination (:func:`_eliminate`); a table of all
-square minors, and an early-exit check that they are nonzero, share one
-integer Laplace expansion (:func:`_minor_levels`).  Everything here is
-deterministic: pivoting always picks the first nonzero entry in row order,
-so repeated runs produce identical kernel bases.
+fraction-free Gauss-Jordan elimination (:func:`_eliminate`); the scan for
+zero square minors is one integer Laplace expansion (:func:`_minor_levels`).
+Everything here is deterministic: pivoting always picks the first nonzero
+entry in row order, so repeated runs produce identical kernel bases.
 """
 
 from __future__ import annotations
@@ -285,35 +284,25 @@ class RatMatrix:
             basis.append(tuple(Fraction(x, lead) for x in v))
         return tuple(basis)
 
-    def minor_table(self) -> dict:
-        """Every square minor, keyed by ``(rows, cols)`` tuples (0-based, ascending).
-
-        The empty minor ``((), ())`` is 1.  Each row is first scaled by the
-        lcm of its denominators, so the work is integer-only (:func:`_minor_levels`);
-        each entry is divided back by the product of its rows' scale factors,
-        so the table holds the exact minors.
-        """
-        grid, scales = self._cleared()
-        table = {((), ()): Fraction(1)}
-        for col_sets, level in _minor_levels(grid, self.cols):
-            for rows, values in level.items():
-                scale = prod(scales[i] for i in rows)
-                table.update(((rows, cols), Fraction(value, scale))
-                             for cols, value in zip(col_sets, values))
-        return table
-
-    def minors_nonzero(self, order: int) -> bool:
-        """Whether every square minor of order 1..``order`` is nonzero.
+    def zero_minors(self, order: int):
+        """Yield ``(rows, cols)`` of every square minor of order 1..``order`` that is 0.
 
         Row scaling moves no minor to or from zero, so the cleared integer
-        grid is scanned, entries first, and the scan stops after the first
-        order that holds a zero.
+        grid is scanned (:func:`_minor_levels`), order by order, entries
+        first; within an order the row sets, then the column sets, ascend
+        (0-based).  Only the orders read are expanded.
         """
         grid, _ = self._cleared()
-        for _, level in islice(_minor_levels(grid, self.cols), order):
-            if not all(map(all, level.values())):
-                return False
-        return True
+        for col_sets, level in islice(_minor_levels(grid, self.cols), order):
+            for rows, values in level.items():
+                if not all(values):
+                    yield from ((rows, cols) for cols, value in zip(col_sets, values)
+                                if not value)
+
+    def minors_nonzero(self, order: int) -> bool:
+        """Whether every square minor of order 1..``order`` is nonzero; the
+        scan stops at the first zero."""
+        return next(self.zero_minors(order), None) is None
 
 
 def _minor_levels(grid: list, ncols: int):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -39,12 +38,11 @@ __all__ = [
 ]
 
 
-# Largest order n whose minor table is built.  The general position audit
-# walks all C(2n, n) foliation subsets and keeps a table of as many minors,
-# so the cost roughly triples per order.  One `analyze` of a generic matrix
-# (entries in [-9, 9], Python 3.11, 2 cores; median of five matrices) takes
-# about 0.16 s at n = 7, 0.4 s at n = 8 and 1.0 s at n = 9, then 4.7 s and
-# 63 MB of peak memory at n = 10.
+# Largest order n the library and the CLI accept.  The audit scans the
+# minors of A of order 1..n-1 for zeros (48,618 at n = 9) and row-reduces
+# once per failed block read.  One `analyze` of a dense matrix (entries in
+# [-9, 9], Python 3.11, 2 cores; median of five) takes about 0.02, 0.06 and
+# 0.08 s at n = 7, 8, 9; of the 9x9 identity, with 96,234 failed blocks, 25 s.
 MAX_ORDER = 9
 
 
@@ -93,22 +91,13 @@ class LinearWeb(Frozen):
         return adapted_coframe(self)
 
     @cached_property
-    def minors(self) -> dict:
-        """Every square minor of A (:meth:`RatMatrix.minor_table`), derived once per web.
-
-        Raises ``ValueError`` above :data:`MAX_ORDER`, before building anything.
-        """
-        self._check_order()
-        return self.A.minor_table()
-
-    @cached_property
     def in_general_position(self) -> bool:
         """Whether any n of the 2n foliations are in general position.
 
         That holds exactly when every minor of A of order 1..n-1 is nonzero
-        (see :func:`_block_failures`), so it is read by an early-exit scan
-        (:meth:`RatMatrix.minors_nonzero`) without a minor table.  Raises
-        ``ValueError`` above :data:`MAX_ORDER`, like :attr:`minors`.
+        (see :func:`_strict_failures`), so it is read by an early-exit scan
+        (:meth:`RatMatrix.minors_nonzero`).  Raises ``ValueError`` above
+        :data:`MAX_ORDER`, like :func:`general_position_audit`.
         """
         self._check_order()
         return self.A.minors_nonzero(self.n - 1)
@@ -123,10 +112,8 @@ class LinearWeb(Frozen):
             raise IndexError(f"foliation index {xi} outside 1..{2 * self.n}")
 
     def _check_order(self) -> None:
-        n = self.n
-        if n > MAX_ORDER:
-            raise ValueError(f"order {n} is above the limit MAX_ORDER = {MAX_ORDER}: the "
-                             f"minor table would have {comb(2 * n, n)} entries")
+        if self.n > MAX_ORDER:
+            raise ValueError(f"order {self.n} is above the limit MAX_ORDER = {MAX_ORDER}")
 
 
 def build_web(A: RatMatrix) -> LinearWeb:
@@ -371,37 +358,54 @@ class AuditReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _block_failures(web: LinearWeb, size: int) -> tuple:
-    """Failed blocks among the size-subsets, decided by the minors of A.
+def _strict_failures(web: LinearWeb) -> tuple:
+    """Failed blocks among the n-subsets, sorted by (foliations, block).
 
-    With S_lo the lower and S_hi the upper foliations of a subset (as
-    0-based rows and columns of A), Laplace expansion against the identity
-    block of [I | A] gives: the x-block is independent exactly when some
-    minor A[R, S_hi] with R outside S_lo is nonzero, the y-block exactly
-    when some minor A[S_lo, C] with C outside S_hi is.  Only a failed block
-    is recorded; its dependency is derived only when read.
+    With S_lo and S_hi a subset's lower and upper foliations (0-based rows
+    and columns of A), Laplace expansion against the identity block of
+    [I | A] gives: the x-block fails exactly when A[~S_lo, S_hi] is 0, the
+    y-block exactly when A[S_lo, ~S_hi] is.  Orders 0 and n never vanish,
+    so each zero minor A[R, K] of order 1..n-1 fails the x-block of ~R + K
+    and the y-block of R + ~K.  Dependencies are derived only when read.
     """
     n = web.n
-    minors = web.minors
     failures = []
-    for subset in combinations(range(1, 2 * n + 1), size):
-        lo = tuple(xi - 1 for xi in subset if xi <= n)
-        hi = tuple(xi - n - 1 for xi in subset if xi > n)
-        free_rows = [i for i in range(n) if i not in lo]
-        free_cols = [j for j in range(n) if j not in hi]
-        x_minors = (minors[rows, hi] for rows in combinations(free_rows, len(hi)))
-        y_minors = (minors[lo, cols] for cols in combinations(free_cols, len(lo)))
-        for block, block_minors in (("x", x_minors), ("y", y_minors)):
-            if not any(block_minors):
-                failures.append(DegenerateBlock(subset, block, web))
+    for rows, cols in web.A.zero_minors(n - 1):
+        lower = tuple(i + 1 for i in range(n) if i not in rows)
+        upper = tuple(j + n + 1 for j in range(n) if j not in cols)
+        failures.append((lower + tuple(j + n + 1 for j in cols), "x"))
+        failures.append((tuple(i + 1 for i in rows) + upper, "y"))
+    failures.sort()
+    return tuple(DegenerateBlock(foliations, block, web) for foliations, block in failures)
+
+
+def _pairwise_failures(web: LinearWeb) -> tuple:
+    """Failed blocks among the 2-subsets, read off the support of A.
+
+    Two rows, or two columns, of a nonsingular A are independent, so only a
+    mixed pair {i, n+c} can fail: its x-block (e_i and column c) exactly
+    when column c is zero off row i, its y-block (row i and e_c) exactly
+    when row i is zero off column c.
+    """
+    n = web.n
+    A = web.A.entries()
+    failures = []
+    for i in range(n):
+        for c in range(n):
+            pair = (i + 1, c + n + 1)
+            if not any(A[r][c] for r in range(n) if r != i):
+                failures.append(DegenerateBlock(pair, "x", web))
+            if not any(A[i][j] for j in range(n) if j != c):
+                failures.append(DegenerateBlock(pair, "y", web))
     return tuple(failures)
 
 
 def general_position_audit(web: LinearWeb) -> AuditReport:
-    """Examine all C(2n, n) foliation subsets for both block tests."""
+    """Both block tests on every n-subset and pair; ``ValueError`` above MAX_ORDER."""
+    web._check_order()
     n = web.n
-    strict = _block_failures(web, n)
-    pairwise = _block_failures(web, 2) if n != 2 else strict
+    strict = _strict_failures(web)
+    pairwise = _pairwise_failures(web) if n != 2 else strict
     return AuditReport(
         n=n,
         strict_degenerate=strict,

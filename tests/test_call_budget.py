@@ -2,8 +2,8 @@
 
 A survey reads only verdicts, so it must row-reduce nothing and wedge
 nothing: the relation space comes from the support of A and witnesses are
-derived only when read.  Its general position is an early-exit minor scan,
-so it builds no minor table and runs no audit; each draw is inverted once,
+derived only when read.  Its general position is one early-exit scan of
+the zero minors per web, and it runs no audit; each draw is inverted once,
 and the only determinants are the three published 3x3 forms.  A rendered
 analysis row-reduces once per degenerate block, for that block's witness,
 and nowhere else.
@@ -51,9 +51,9 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def survey_calls(monkeypatch):
-    """Count the minor table, the audit, det and inverse, wherever bound."""
-    counts = {"minor_table": 0, "general_position_audit": 0, "det": 0, "inverse": 0}
-    for name in ("minor_table", "det", "inverse"):
+    """Count the zero-minor scans, the audit, det and inverse, wherever bound."""
+    counts = {"zero_minors": 0, "general_position_audit": 0, "det": 0, "inverse": 0}
+    for name in ("zero_minors", "det", "inverse"):
         _count_method(monkeypatch, counts, name)
     _count_function(monkeypatch, counts, "general_position_audit",
                     webmodel.general_position_audit)
@@ -73,7 +73,7 @@ def test_survey_row_reduces_and_wedges_nothing(calls):
 
 def test_survey_counters_see_the_calls(survey_calls):
     analyze(linearwebs.example_web(1).A)
-    assert survey_calls == {"minor_table": 1, "general_position_audit": 1,
+    assert survey_calls == {"zero_minors": 1, "general_position_audit": 1,
                             "det": 3, "inverse": 2}
 
 
@@ -81,12 +81,13 @@ def test_survey_counters_see_the_calls(survey_calls):
                                   FamilySpec("B7", entry_bound=1)],
                          ids=["generic", "B6", "B7-box-1"])
 def test_survey_scans_minors_and_inverts_once_per_draw(survey_calls, spec):
-    # in the box [-1, 1] a B7 draw is often singular, so draws outnumber webs
+    # one scan per web, one inverse per draw; in the box [-1, 1] a B7 draw
+    # is often singular, so draws outnumber webs
     survey(spec, 20, seed=11)
     draws = sum(len(sample_draws(spec.n, spec.constraints, spec.entry_bound,
                                  derive_seed(11, i))) for i in range(20))
     assert spec.entry_bound != 1 or draws > 20
-    assert survey_calls == {"minor_table": 0, "general_position_audit": 0,
+    assert survey_calls == {"zero_minors": 20, "general_position_audit": 0,
                             "det": 3 * 20, "inverse": draws}
 
 

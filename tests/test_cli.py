@@ -254,7 +254,7 @@ def test_verify_paper_out_to_a_directory_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, reason, absent", [
-    ("analyze", "the audit walks all C(2n, n) foliation subsets", "minors of order 1..n-1"),
+    ("analyze", "row-reduces once per failed block", "minors of order 1..n-1"),
     ("survey", "minors of order 1..n-1 are scanned", "audit"),
 ])
 def test_order_limit_help_gives_each_command_its_cost(capsys, command, reason, absent):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -203,7 +204,8 @@ class TestKernel:
 
 class TestMinor:
     def test_singleton_is_entry(self):
-        assert A1.minor_table()[(1,), (2,)] == A1[1, 2]
+        # the order-1 minors are the entries; A1 has one zero, at (0, 2)
+        assert list(A1.zero_minors(1)) == [((0,), (2,))]
 
     def test_augmented_example_values(self):
         # [I | A] column picks correspond to foliation subsets
@@ -211,8 +213,10 @@ class TestMinor:
             I = RatMatrix.identity(3)
             return RatMatrix([list(I.row(i)) + list(A.row(i)) for i in range(3)])
 
-        assert augmented(A1).minor_table()[(0, 1, 2), (1, 2, 5)] == 0
-        assert augmented(A2).minor_table()[(0, 1, 2), (0, 1, 3)] == 1
+        assert ((0, 1, 2), (1, 2, 5)) in set(augmented(A1).zero_minors(3))
+        M2 = augmented(A2)
+        assert ((0, 1, 2), (0, 1, 3)) not in set(M2.zero_minors(3))
+        assert RatMatrix([[M2[i, j] for j in (0, 1, 3)] for i in range(3)]).det() == 1
 
     def test_nonzero_scan_stops_at_the_requested_order(self):
         M = RatMatrix([[1, 2, 1], [2, 4, 3], ["1/2", 5, 7]])  # rows 1, 2 of cols 1, 2: 0
@@ -222,10 +226,17 @@ class TestMinor:
 
     @given(sparse_rational_rectangles(max_rows=4, max_cols=4))
     def test_nonzero_scan_matches_the_table(self, grid):
+        # the table is the cofactor oracle's, over every square submatrix
         M = RatMatrix(grid)
-        table = M.minor_table()
-        for order in range(min(M.rows, M.cols) + 1):
-            expected = all(v for (rows, _), v in table.items() if 1 <= len(rows) <= order)
+        top = min(M.rows, M.cols)
+        table = {(rows, cols): det_cofactor([[grid[i][j] for j in cols] for i in rows])
+                 for k in range(1, top + 1)
+                 for rows in combinations(range(M.rows), k)
+                 for cols in combinations(range(M.cols), k)}
+        zeros = [key for key, value in table.items() if value == 0]
+        assert list(M.zero_minors(top)) == zeros
+        for order in range(top + 1):
+            expected = all(v for (rows, _), v in table.items() if len(rows) <= order)
             assert M.minors_nonzero(order) == expected
 
 

@@ -22,7 +22,8 @@ DEGENERATE = [[1, 2, 0], [3, 1, 4], [2, 5, 1]]
 
 def test_import_loads_no_dataclasses_or_thread_pool():
     code = ("import linearwebs, linearwebs.cli, sys; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'concurrent.futures')"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'concurrent.futures',"
+            " 'hashlib', '_hashlib')"
             " if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,

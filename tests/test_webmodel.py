@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -187,21 +187,38 @@ class TestAudit:
         assert audit.strict_degenerate == audit.pairwise_degenerate
 
 
+def assert_audit_matches_oracle(web):
+    # both lists in the oracle's set and in (foliations, block) order, and
+    # every witness a vanishing combination of the block's forms
+    n = web.n
+    grid = [list(row) for row in web.A.entries()]
+    audit = general_position_audit(web)
+    strict = [(d.foliations, d.block) for d in audit.strict_degenerate]
+    pairwise = [(d.foliations, d.block) for d in audit.pairwise_degenerate]
+    assert strict == sorted(enumerate_degenerate_blocks(grid, n))
+    assert pairwise == sorted(enumerate_degenerate_blocks(grid, 2))
+    for d in audit.strict_degenerate + audit.pairwise_degenerate:
+        form = web.dx if d.block == "x" else web.dy
+        combo = zero_one_form(web.chart)
+        for c, xi in zip(d.dependency, d.foliations):
+            combo = combo + form(xi).scale(c)
+        assert any(d.dependency) and combo.is_zero
+
+
 class TestAuditProperties:
     @given(sparse_rational_webs())
     def test_failures_match_oracle(self, web):
-        n = web.n
-        grid = [list(row) for row in web.A.entries()]
-        audit = general_position_audit(web)
-        assert strict_failures(audit) == enumerate_degenerate_blocks(grid, n)
-        pairwise = {(d.foliations, d.block) for d in audit.pairwise_degenerate}
-        assert pairwise == enumerate_degenerate_blocks(grid, 2)
-        for d in audit.strict_degenerate + audit.pairwise_degenerate:
-            form = web.dx if d.block == "x" else web.dy
-            combo = zero_one_form(web.chart)
-            for c, xi in zip(d.dependency, d.foliations):
-                combo = combo + form(xi).scale(c)
-            assert any(d.dependency) and combo.is_zero
+        assert_audit_matches_oracle(web)
+
+    @pytest.mark.parametrize("grid", [
+        [["-5/2"]],
+        [[1, 0, 2, 0, 3], [0, 4, 0, 5, 0], [6, 0, 0, 0, 7], [0, 8, 9, 0, 0], [1, 0, 0, 2, 1]],
+        # column 2 is zero off row 2 and rows 2 and 4 are zero off one column:
+        # the pairs {2, 7} (both blocks) and {4, 9} (y) fail
+        [[2, 0, 0, 1, 0], [0, 3, 0, 0, 0], [1, 0, -1, 0, 2], [0, 0, 0, 4, 0], [0, 0, 5, 0, 1]],
+    ], ids=["n1", "n5-sparse", "n5-pairs"])
+    def test_failures_match_oracle_at_n1_and_n5(self, grid):
+        assert_audit_matches_oracle(build_web(RatMatrix(grid)))
 
     @given(sparse_rational_webs())
     def test_in_general_position_agrees_with_audit_and_oracle(self, web):
@@ -210,12 +227,15 @@ class TestAuditProperties:
         assert web.in_general_position == general_position_audit(web).general_position == clean
 
     @given(sparse_rational_webs())
-    def test_minor_table_matches_cofactor_oracle(self, web):
+    def test_zero_minors_match_cofactor_oracle(self, web):
+        # the scan the audit reads: the minors of order 1..n-1 that the
+        # cofactor oracle says vanish, each once, in level order
         n = web.n
-        assert len(web.minors) == comb(2 * n, n)
-        for (rows, cols), value in web.minors.items():
-            sub = [[web.A[i, j] for j in cols] for i in rows]
-            assert value == (det_cofactor(sub) if rows else 1)
+        expected = [(rows, cols) for k in range(1, n)
+                    for rows in combinations(range(n), k)
+                    for cols in combinations(range(n), k)
+                    if det_cofactor([[web.A[i, j] for j in cols] for i in rows]) == 0]
+        assert list(web.A.zero_minors(n - 1)) == expected
 
     @given(sparse_rational_webs())
     def test_degenerate_gauge_fails_audit(self, web):
@@ -240,11 +260,11 @@ class TestAuditProperties:
 
 
 class TestOrderLimit:
-    def test_audit_refuses_before_building_the_table(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("minor table built above MAX_ORDER")
+    def test_audit_refuses_before_scanning(self, monkeypatch):
+        def refuse(self, order):
+            raise AssertionError("minors scanned above MAX_ORDER")
 
-        monkeypatch.setattr(RatMatrix, "minor_table", refuse)
+        monkeypatch.setattr(RatMatrix, "zero_minors", refuse)
         web = build_web(RatMatrix.identity(MAX_ORDER + 1))
         with pytest.raises(ValueError, match="MAX_ORDER"):
             general_position_audit(web)
@@ -253,13 +273,13 @@ class TestOrderLimit:
         with pytest.raises(ValueError):
             general_position_audit(build_web(RatMatrix.identity(10)))
 
-    def test_in_general_position_refuses_like_the_table(self):
+    def test_in_general_position_refuses_like_the_audit(self):
         web = build_web(RatMatrix.identity(MAX_ORDER + 1))
         with pytest.raises(ValueError, match="MAX_ORDER") as scan:
             web.in_general_position
-        with pytest.raises(ValueError, match="MAX_ORDER") as table:
-            web.minors
-        assert str(scan.value) == str(table.value)
+        with pytest.raises(ValueError, match="MAX_ORDER") as audit:
+            general_position_audit(web)
+        assert str(scan.value) == str(audit.value)
 
     def test_family_spec_bounds_the_order(self):
         assert FamilySpec(n=MAX_ORDER).n == MAX_ORDER
