@@ -9,7 +9,7 @@ polynomials vanish for structural reasons.  Widening the box makes the
 artifact disappear.  Every survey is deterministic for its seed.
 """
 
-from linearwebs import FamilySpec, agw_test, sample_family, survey
+from linearwebs import FamilySpec, agw_verdict, sample_family, survey
 from linearwebs.families import derive_seed
 from linearwebs.webmodel import general_position_audit
 
@@ -24,9 +24,9 @@ narrow = survey(FamilySpec("generic", entry_bound=9), count=300, seed=7)
 print(narrow.to_text())
 
 exceptions = [i for i in range(300)
-              if agw_test(sample_family(
+              if agw_verdict(sample_family(
                   FamilySpec("generic", entry_bound=9),
-                  derive_seed(7, i))).verdict != "not-AGW"]
+                  derive_seed(7, i))) != "not-AGW"]
 degenerate = sum(
     not general_position_audit(sample_family(
         FamilySpec("generic", entry_bound=9), derive_seed(7, i))).general_position

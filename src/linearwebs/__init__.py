@@ -21,8 +21,8 @@ from .coframe import (AdaptedCoframe, AffinorEntry, AffinorTable,
                       CoframeDegenerateError, adapted_coframe, basis_affinors,
                       expand_foliation)
 from .agw import (AgwReport, Condition7Result, MinorWitness, affinor_comparison,
-                  agw_test, cleared_minors, condition7_residual, literal_det,
-                  proportionality_minors)
+                  agw_test, agw_verdict, cleared_minors, condition7_residual,
+                  literal_det, proportionality_minors)
 from .parallel import ParallelReport, parallelizability_report
 from .families import (FamilySpec, SampleRecord, SurveyStats, derive_seed,
                        example_web, orthogonal_web, sample_family, survey)
@@ -43,7 +43,7 @@ __all__ = [
     "AdaptedCoframe", "AffinorEntry", "AffinorTable", "CoframeDegenerateError",
     "adapted_coframe", "basis_affinors", "expand_foliation",
     "AgwReport", "Condition7Result", "MinorWitness", "affinor_comparison",
-    "agw_test", "cleared_minors", "condition7_residual",
+    "agw_test", "agw_verdict", "cleared_minors", "condition7_residual",
     "literal_det", "proportionality_minors",
     "ParallelReport", "parallelizability_report",
     "FamilySpec", "SampleRecord", "SurveyStats", "derive_seed", "example_web",

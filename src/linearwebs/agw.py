@@ -53,6 +53,7 @@ __all__ = [
     "Condition7Result",
     "AgwReport",
     "agw_test",
+    "agw_verdict",
     "proportionality_minors",
     "cleared_minors",
     "literal_det",
@@ -174,6 +175,23 @@ def cleared_minors(web: LinearWeb, a: int) -> list:
     return out
 
 
+def _minors(web: LinearWeb, a: int) -> list:
+    """The minors that decide upper foliation a: from the coframe when the
+    gauge is valid, with the gauge denominators cleared when it is not."""
+    return (proportionality_minors(web, a) if web.coframe.is_valid
+            else cleared_minors(web, a))
+
+
+def _verdict(web: LinearWeb, obstructed: bool) -> str:
+    """Any nonzero minor refutes; all zeros prove compatibility only with a
+    valid gauge or a diagonal A (a direct product)."""
+    if obstructed:
+        return NOT_AGW
+    if web.coframe.is_valid or web.A.is_diagonal():
+        return AGW
+    return INDETERMINATE
+
+
 def agw_test(web: LinearWeb) -> AgwReport:
     """Decide compatibility with exact witnesses.
 
@@ -188,25 +206,17 @@ def agw_test(web: LinearWeb) -> AgwReport:
     witnesses = []
     unobstructed = []
     for a in range(n + 2, 2 * n + 1):
-        minors = (proportionality_minors(web, a) if cof.is_valid
-                  else cleared_minors(web, a))
         nonzero = [MinorWitness(a, b, g, val, path)
-                   for b, g, val in minors if val != 0]
+                   for b, g, val in _minors(web, a) if val != 0]
         witnesses.extend(nonzero)
         if not nonzero:
             unobstructed.append(a)
-    if witnesses:
-        verdict = NOT_AGW
-    elif cof.is_valid or web.A.is_diagonal():
-        verdict = AGW
-    else:
-        verdict = INDETERMINATE
     literal = None
     if n == 3:
         literal = {form: literal_det(web, form) for form in LITERAL_DET_FORMS}
     return AgwReport(
         n=n,
-        verdict=verdict,
+        verdict=_verdict(web, bool(witnesses)),
         gauge_status=cof.status,
         gauge_vanishing=cof.vanishing,
         witnesses=tuple(witnesses),
@@ -214,6 +224,17 @@ def agw_test(web: LinearWeb) -> AgwReport:
         literal_dets=literal,
         condition7=condition7_residual(web.affinors),
     )
+
+
+def agw_verdict(web: LinearWeb) -> str:
+    """``agw_test(web).verdict`` alone.
+
+    Stops at the first upper foliation with a nonzero minor, and builds no
+    witness, published form or affinor table.
+    """
+    obstructed = any(val != 0 for a in range(web.n + 2, 2 * web.n + 1)
+                     for _, _, val in _minors(web, a))
+    return _verdict(web, obstructed)
 
 
 # ---------------------------------------------------------------------------

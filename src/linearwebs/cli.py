@@ -17,10 +17,7 @@ invariant violation (including failed derived-math checks in verify-paper),
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -49,6 +46,8 @@ class _UsageError(Exception):
 
 
 def _load_matrix(path: str) -> RatMatrix:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -86,6 +85,8 @@ def _load_matrix(path: str) -> RatMatrix:
 
 
 def _parse_csv(text: str, path: str):
+    import csv
+
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as exc:
@@ -96,6 +97,8 @@ def _parse_csv(text: str, path: str):
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -111,6 +114,8 @@ def _emit(result, args) -> None:
     The body is rendered in full before anything is written, so an exact
     value past Python's int-to-str digit limit exits 2 with no output.
     """
+    import json
+
     try:
         body = (json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
                 if args.json else result.to_text() + "\n")
@@ -172,6 +177,8 @@ def _cmd_survey(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="linearwebs",
         description="exact construction and audit of linear codimension-two webs")

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .abelian import relation_space
-from .agw import AGW, INDETERMINATE, NOT_AGW, agw_test
+from .agw import AGW, INDETERMINATE, NOT_AGW, agw_verdict, literal_det
 from .published import EXAMPLE_MATRICES
 from .ratlin import Frozen, RatMatrix
 from .webmodel import MAX_ORDER, LinearWeb, WebConstructionError, build_web
@@ -223,18 +223,15 @@ class SurveyStats(NamedTuple):
 
 
 def _survey_one(spec: FamilySpec, seed: int, index: int) -> dict:
+    # A survey reads the verdict and the left published form only: no
+    # witnesses, no other published form, no affinor table.
     web = sample_family(spec, derive_seed(seed, index))
-    agw_report = agw_test(web)
-    rank = relation_space(web)
-    left_zero = None
-    if spec.n == 3:
-        left_zero = agw_report.literal_dets["left"] == 0
     return {
         "index": index,
-        "verdict": agw_report.verdict,
+        "verdict": agw_verdict(web),
         "audit_clean": web.in_general_position,
-        "relation_dim": rank.dimension,
-        "left_zero": left_zero,
+        "relation_dim": relation_space(web).dimension,
+        "left_zero": literal_det(web, "left") == 0 if spec.n == 3 else None,
     }
 
 

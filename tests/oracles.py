@@ -5,23 +5,29 @@ matrix wire format (lists of Fractions)."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 
 def det_cofactor(grid) -> Fraction:
     """Determinant by cofactor expansion along the first row.
 
-    Every minor in the expansion sits on the last k rows and some k
-    columns, and is itself expanded along its first row; each is expanded
-    once, so an n x n grid costs n * 2^(n-1) products instead of n!.  The
-    arithmetic stays in the entries' own exact type (int or Fraction).
+    Each row is first scaled by the lcm of its entries' denominators, so
+    the expansion runs on integers; the result is divided back by the
+    product of the scales.  Every minor in the expansion sits on the last
+    k rows and some k columns, and is itself expanded along its first
+    row; each is expanded once, so an n x n grid costs n * 2^(n-1)
+    products instead of n!.  Entries are ints or Fractions.
     """
     n = len(grid)
     assert all(len(row) == n for row in grid)
+    scales = [lcm(*(x.denominator for x in row)) for row in grid]
+    rows = [[x.numerator * (s // x.denominator) for x in row]
+            for row, s in zip(grid, scales)]
     expanded = {(): 1}
 
     def minor(cols):
         if cols not in expanded:
-            top = grid[n - len(cols)]
+            top = rows[n - len(cols)]
             total = 0
             for t, j in enumerate(cols):
                 if top[j] != 0:
@@ -30,7 +36,7 @@ def det_cofactor(grid) -> Fraction:
             expanded[cols] = total
         return expanded[cols]
 
-    return Fraction(minor(tuple(range(n))))
+    return Fraction(minor(tuple(range(n))), prod(scales))
 
 
 def row_reduce(grid):
@@ -130,7 +136,9 @@ def enumerate_degenerate_blocks(A_grid, size):
     """General-position audit by exhaustive minor enumeration.
 
     ``A_grid`` is the defining matrix as Fractions; returns a set of
-    ((foliations...), block) pairs whose block determinant vanishes.
+    ((foliations...), block) pairs whose n x size block has rank below
+    size.  A square block (size n) is decided by :func:`det_cofactor`,
+    any other by :func:`rank`.
     """
     n = len(A_grid)
     dx = {}
@@ -146,8 +154,9 @@ def enumerate_degenerate_blocks(A_grid, size):
     for subset in combinations(range(1, 2 * n + 1), size):
         for block, vecs in (("x", dx), ("y", dy)):
             cols = [vecs[s] for s in subset]
-            if rank([[cols[j][i] for j in range(len(subset))]
-                     for i in range(n)]) < len(subset):
+            grid = [[col[i] for col in cols] for i in range(n)]
+            if (det_cofactor(grid) == 0 if size == n
+                    else rank(grid) < size):
                 bad.add((subset, block))
     return bad
 

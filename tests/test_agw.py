@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linearwebs import (MAX_ORDER, RatMatrix, affinor_comparison, agw_test,
-                        basis_affinors, build_web, cleared_minors,
+                        agw_verdict, basis_affinors, build_web, cleared_minors,
                         condition7_residual, example_web,
                         general_position_audit, literal_det, orthogonal_web,
                         proportionality_minors)
@@ -19,6 +19,10 @@ from strategies import sparse_rational_webs
 WITNESS = RatMatrix([[1, 1, 1],
                      [1, 2, "2/3"],
                      [1, "2/3", 2]])
+
+# two zeros in column 1 wipe out every cleared minor but the matrix is not
+# diagonal, so nothing is proven either way
+STRUCTURAL_INDETERMINATE = RatMatrix([[0, 9, -8], [0, 5, 8], [-2, 8, 3]])
 
 
 def rand_web(rng, n=3, bound=9):
@@ -63,9 +67,7 @@ class TestVerdicts:
         assert report.unobstructed_foliations == (5, 6)
 
     def test_indeterminate_when_cleared_minors_vanish_structurally(self):
-        # two zeros in column 1 wipe out every cleared minor but the matrix
-        # is not diagonal, so nothing is proven either way
-        A = RatMatrix([[0, 9, -8], [0, 5, 8], [-2, 8, 3]])
+        A = STRUCTURAL_INDETERMINATE
         report = agw_test(build_web(A))
         assert report.verdict == "indeterminate"
         assert not general_position_audit(build_web(A)).general_position
@@ -93,6 +95,39 @@ class TestVerdicts:
             scaled = build_web(RatMatrix([[c * x for x in row]
                                           for row in web.A.entries()]))
             assert agw_test(web).verdict == agw_test(scaled).verdict
+
+
+class TestLeanVerdict:
+    """``agw_verdict``, which a survey reads, is ``agw_test``'s verdict."""
+
+    BRANCHES = {
+        "valid-not-AGW": (example_web(1).A, "valid", "not-AGW"),
+        "valid-AGW": (WITNESS, "valid", "AGW"),
+        "degenerate-not-AGW": (example_web(2).A, "degenerate", "not-AGW"),
+        "degenerate-diagonal": (RatMatrix([[2, 0, 0], [0, -3, 0], [0, 0, 5]]),
+                                "degenerate", "AGW"),
+        "degenerate-indeterminate": (STRUCTURAL_INDETERMINATE, "degenerate",
+                                     "indeterminate"),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_each_branch_of_the_rule(self, branch):
+        A, gauge, verdict = self.BRANCHES[branch]
+        web = build_web(A)
+        assert web.coframe.status == gauge
+        assert agw_verdict(web) == agw_test(web).verdict == verdict
+
+    @given(sparse_rational_webs(max_n=5))
+    @example(build_web(RatMatrix([[-1, 0], [0, 3]])))
+    @example(build_web(STRUCTURAL_INDETERMINATE))
+    def test_equals_the_full_verdict(self, web):
+        assert agw_verdict(web) == agw_test(web).verdict
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_equals_the_full_verdict_on_orthogonal_webs(self, n):
+        for seed in range(3):
+            web = orthogonal_web(n, seed)
+            assert agw_verdict(web) == agw_test(web).verdict == "AGW"
 
 
 class TestLiteralDets:
